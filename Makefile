@@ -2,12 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint check serve-smoke campaign-smoke stress fuzz bench bench-compare experiments examples cover cover-gate clean
+.PHONY: all build fmt-check vet test lint check serve-smoke campaign-smoke stress fuzz bench bench-compare experiments examples cover cover-gate clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# gofmt gate: fails, listing the files, when any Go source — lint
+# fixtures and the benchmark module included — differs from gofmt's output.
+GOFMT_PATHS = *.go cmd internal examples _perfbench
+fmt-check:
+	@out=$$(gofmt -l $(GOFMT_PATHS)); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -25,13 +32,13 @@ test:
 lint:
 	$(GO) run ./cmd/vsvlint ./...
 
-# The pre-merge gate: vet, vsvlint, the race-enabled short suite (which
+# The pre-merge gate: gofmt, vet, vsvlint, the race-enabled short suite (which
 # includes the sweep engine's determinism and cancellation tests, the
 # fast-forward differential tests, and the campaign service's e2e suite),
 # and the golden-output regression (the short-mode experiments digest must
 # match the committed hash with fast-forward both enabled and disabled —
 # see scripts/check_golden.sh).
-check: vet lint
+check: fmt-check vet lint
 	$(GO) test -race -short ./...
 	sh scripts/check_golden.sh
 

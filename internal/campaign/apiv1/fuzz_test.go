@@ -34,11 +34,11 @@ func FuzzDecodeLedgerRecord(f *testing.F) {
 		&apiv1.Error{Type: apiv1.ErrInterrupted, Message: "server stopped"}); err == nil {
 		f.Add(line)
 	}
-	f.Add([]byte(`{"v":1,"kind":"claim"}`))                  // claim missing fp/worker
-	f.Add([]byte(`{"v":1,"kind":"poison"}`))                 // poison missing fp
+	f.Add([]byte(`{"v":1,"kind":"claim"}`))                       // claim missing fp/worker
+	f.Add([]byte(`{"v":1,"kind":"poison"}`))                      // poison missing fp
 	f.Add([]byte(`{"v":9,"kind":"claim","fp":"x","worker":"w"}`)) // future version
-	f.Add([]byte(`{"v":1,"kind":"gibberish","fp":"x"}`))     // unknown kind
-	f.Add([]byte(`{"v":1,"kind":"submit","id":"j1"}`))       // submit missing request
+	f.Add([]byte(`{"v":1,"kind":"gibberish","fp":"x"}`))          // unknown kind
+	f.Add([]byte(`{"v":1,"kind":"submit","id":"j1"}`))            // submit missing request
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[]`))

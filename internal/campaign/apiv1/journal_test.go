@@ -47,14 +47,14 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 // zero-valued records.
 func TestJournalRecordRejects(t *testing.T) {
 	for _, bad := range []string{
-		`{"v":1,"kind":"submit","id":"j1"}`,       // submit without request
-		`{"v":1,"kind":"state","id":"j1"}`,        // state without state
+		`{"v":1,"kind":"submit","id":"j1"}`,                   // submit without request
+		`{"v":1,"kind":"state","id":"j1"}`,                    // state without state
 		`{"v":1,"kind":"state","id":"j1","state":"sideways"}`, // unknown state
-		`{"v":1,"kind":"submit","req":{}}`,        // missing id
-		`{"v":2,"kind":"state","id":"j1","state":"done"}`, // future version
-		`{"kind":"state","id":"j1","state":"done"}`,       // versionless
-		`{"v":1,"kind":"compact","id":"j1"}`,      // unknown kind
-		`{"v":1,"kind":"sub`,                      // torn tail
+		`{"v":1,"kind":"submit","req":{}}`,                    // missing id
+		`{"v":2,"kind":"state","id":"j1","state":"done"}`,     // future version
+		`{"kind":"state","id":"j1","state":"done"}`,           // versionless
+		`{"v":1,"kind":"compact","id":"j1"}`,                  // unknown kind
+		`{"v":1,"kind":"sub`,                                  // torn tail
 	} {
 		if _, err := apiv1.DecodeJournalRecord([]byte(bad)); err == nil {
 			t.Errorf("accepted bad journal line %s", bad)

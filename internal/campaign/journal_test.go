@@ -240,7 +240,7 @@ func TestJournalReplaySemantics(t *testing.T) {
 	must(jr.Submit("j000001", &req))
 	must(jr.Record("j000001", apiv1.StateDone, nil))
 	must(jr.Submit("j000002", &req))
-	must(jr.Submit("j000002", &req)) // duplicate: first wins
+	must(jr.Submit("j000002", &req))                   // duplicate: first wins
 	must(jr.Record("j000009", apiv1.StateFailed, nil)) // unknown id: skipped
 	must(jr.Submit("j000005", &req))
 	must(jr.Record("j000005", apiv1.StateCancelled,

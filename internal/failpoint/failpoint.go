@@ -94,13 +94,13 @@ func (e *Error) Unwrap() error { return e.Cause }
 // writers (ledger appends race across goroutines) count deterministically
 // in total even when the interleaving varies.
 type site struct {
-	action  string
-	at      int64 // fire on the at-th matching call (1-based)
-	sticky  bool  // keep firing from at on
-	keyed   bool  // only calls whose key matches fire
-	key     string
-	hits    atomic.Int64
-	fired   atomic.Int64 // observability: how many times the action fired
+	action string
+	at     int64 // fire on the at-th matching call (1-based)
+	sticky bool  // keep firing from at on
+	keyed  bool  // only calls whose key matches fire
+	key    string
+	hits   atomic.Int64
+	fired  atomic.Int64 // observability: how many times the action fired
 }
 
 // table is the armed configuration; nil when unarmed. Swapped atomically

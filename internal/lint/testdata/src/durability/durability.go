@@ -26,16 +26,16 @@ func (w *wal) Sync() error {
 
 // dropBare discards durable errors as bare statements.
 func dropBare(w *wal, f *os.File) {
-	w.Append(nil) // want `\(\*durability\.wal\)\.Append error is discarded; durable-write errors must be checked`
-	f.Sync()      // want `\(\*os\.File\)\.Sync error is discarded`
+	w.Append(nil)                 // want `\(\*durability\.wal\)\.Append error is discarded; durable-write errors must be checked`
+	f.Sync()                      // want `\(\*os\.File\)\.Sync error is discarded`
 	failpoint.Sync("wal.sync", f) // want `failpoint\.Sync error is discarded`
 }
 
 // dropBlank hides the discard behind a blank assignment.
 func dropBlank(w *wal, f *os.File) {
-	_ = w.Append(nil)            // want `\(\*durability\.wal\)\.Append error is discarded behind a blank assignment`
-	_, _ = f.Write([]byte("x"))  // want `\(\*os\.File\)\.Write error is discarded behind a blank assignment`
-	_ = os.Remove("/tmp/nope")   // want `os\.Remove error is discarded behind a blank assignment`
+	_ = w.Append(nil)           // want `\(\*durability\.wal\)\.Append error is discarded behind a blank assignment`
+	_, _ = f.Write([]byte("x")) // want `\(\*os\.File\)\.Write error is discarded behind a blank assignment`
+	_ = os.Remove("/tmp/nope")  // want `os\.Remove error is discarded behind a blank assignment`
 }
 
 // closeOnErrorPath is the one sanctioned blank: `_ = f.Close()` where a

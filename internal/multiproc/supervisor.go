@@ -135,8 +135,8 @@ func Supervise(ctx context.Context, cfg SupervisorConfig) (SuperviseResult, erro
 	var (
 		mu     sync.Mutex
 		res    SuperviseResult
-		crimes = make(map[string]int)     // fp → distinct crashes implicating it
-		jailed = make(map[string]bool)    // fp → already quarantined
+		crimes = make(map[string]int)  // fp → distinct crashes implicating it
+		jailed = make(map[string]bool) // fp → already quarantined
 		wg     sync.WaitGroup
 	)
 

@@ -1,6 +1,10 @@
 package pipeline
 
-import "repro/internal/isa"
+import (
+	"math/bits"
+
+	"repro/internal/isa"
+)
 
 // Step advances the pipeline by one cycle at machine time `now` (ticks).
 // Phases run in reverse pipeline order — commit, writeback, issue,
@@ -56,7 +60,9 @@ func (p *Pipeline) commit(now int64, r *StepResult) {
 		}
 		e.valid = false
 		e.dependents = e.dependents[:0]
-		p.head = (p.head + 1) % p.cfg.RUUSize
+		if p.head++; p.head == len(p.ruu) {
+			p.head = 0
+		}
 		p.count--
 		p.stats.Committed++
 		r.Committed++
@@ -65,29 +71,25 @@ func (p *Pipeline) commit(now int64, r *StepResult) {
 }
 
 // writeback advances executing instructions and completes those that
-// finish, waking their dependents. Only the executing entries (execList)
-// are touched; completion effects within one cycle commute, so list order
-// (issue order) is as good as age order.
+// finish, plus the loads whose data arrived since the last edge, waking
+// their dependents. Only the entries that can act this cycle (execList,
+// filled) are touched; completion effects within one cycle commute, so list
+// order is as good as age order.
 func (p *Pipeline) writeback(r *StepResult) {
 	kept := p.execList[:0]
 	for _, idx := range p.execList {
 		e := &p.ruu[idx]
-		if e.waitingMem {
-			if !e.memDone {
-				kept = append(kept, idx)
-				continue
-			}
-			e.waitingMem = false
-		} else {
-			e.execLeft--
-			if e.execLeft > 0 {
-				kept = append(kept, idx)
-				continue
-			}
+		if e.execLeft--; e.execLeft > 0 {
+			kept = append(kept, idx)
+			continue
 		}
 		p.complete(int(idx), r)
 	}
 	p.execList = kept
+	for _, idx := range p.filled {
+		p.complete(int(idx), r)
+	}
+	p.filled = p.filled[:0]
 }
 
 func (p *Pipeline) complete(idx int, r *StepResult) {
@@ -106,6 +108,9 @@ func (p *Pipeline) complete(idx int, r *StepResult) {
 		if d.valid && d.pendingSrcs > 0 {
 			d.pendingSrcs--
 			r.Activity.Wakeups++
+			if d.pendingSrcs == 0 {
+				p.markReady(dep)
+			}
 		}
 	}
 	e.dependents = e.dependents[:0]
@@ -117,56 +122,87 @@ func (p *Pipeline) complete(idx int, r *StepResult) {
 }
 
 // issue selects ready instructions oldest-first, honoring issue width and
-// functional-unit availability. The unissued list holds exactly the
-// not-yet-issued window entries in age order, so the walk skips the
-// already-issued bulk of the window.
+// functional-unit availability. It walks the ready set from the RUU head to
+// the end of the array, then from slot 0 up to the head: the window occupies
+// [head, head+count) circularly, so that is age order.
 func (p *Pipeline) issue(now int64, r *StepResult) {
-	issued := 0
-	kept := p.unissued[:0]
-	for qi, idx := range p.unissued {
-		if issued >= p.cfg.IssueWidth {
-			// Width exhausted: keep the rest untouched (src region is at
-			// or after the dst region, so the in-place copy is safe).
-			kept = append(kept, p.unissued[qi:]...)
-			break
+	if p.nReady == 0 {
+		return
+	}
+	issued := p.issueRange(p.head, len(p.ruu), 0, now, r)
+	if issued < p.cfg.IssueWidth {
+		p.issueRange(0, p.head, issued, now, r)
+	}
+}
+
+// issueRange tries to issue the ready entries in slots [lo, hi) in slot
+// order until the issue width is used up. issued counts the instructions
+// already issued this cycle; the updated count is returned. An entry that
+// cannot issue (FU busy, an older store's address unknown, MSHR full) stays
+// ready and retries next cycle.
+func (p *Pipeline) issueRange(lo, hi, issued int, now int64, r *StepResult) int {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		set := p.ready[w]
+		if base := w << 6; lo > base {
+			set &= ^uint64(0) << uint(lo-base)
 		}
-		e := &p.ruu[idx]
-		if !e.valid {
-			continue
+		if end := hi - w<<6; end < 64 {
+			set &= 1<<uint(end) - 1
 		}
-		if e.pendingSrcs > 0 {
-			kept = append(kept, idx)
-			continue
-		}
-		ok := true
-		switch e.inst.Op {
-		case isa.OpLoad:
-			ok = p.tryIssueLoad(int(idx), now, r)
-		case isa.OpPrefetch:
-			p.issuePrefetch(int(idx), now, r)
-		default:
-			ok = p.tryIssueALU(int(idx), r)
-		}
-		if !ok {
-			kept = append(kept, idx)
-			continue
-		}
-		p.execList = append(p.execList, idx)
-		issued++
-		r.Issued++
-		p.stats.Issued++
-		r.Activity.Issued++
-		if e.inst.Src1.Valid() {
-			r.Activity.RegReads++
-		}
-		if e.inst.Src2.Valid() {
-			r.Activity.RegReads++
-		}
-		if e.inst.Op.IsMem() {
-			r.Activity.LSQOps++
+		for set != 0 {
+			b := bits.TrailingZeros64(set)
+			set &= set - 1
+			idx := w<<6 | b
+			if !p.issueOne(idx, now, r) {
+				continue
+			}
+			p.ready[w] &^= 1 << uint(b)
+			p.nReady--
+			if issued++; issued >= p.cfg.IssueWidth {
+				return issued
+			}
 		}
 	}
-	p.unissued = kept
+	return issued
+}
+
+// issueOne attempts to issue the ready entry at idx, reporting success.
+func (p *Pipeline) issueOne(idx int, now int64, r *StepResult) bool {
+	e := &p.ruu[idx]
+	ok := true
+	switch e.inst.Op {
+	case isa.OpLoad:
+		ok = p.tryIssueLoad(idx, now, r)
+	case isa.OpPrefetch:
+		p.issuePrefetch(idx, now, r)
+	default:
+		ok = p.tryIssueALU(idx, r)
+	}
+	if !ok {
+		return false
+	}
+	if !e.waitingMem {
+		p.execList = append(p.execList, int32(idx))
+	}
+	r.Issued++
+	p.stats.Issued++
+	r.Activity.Issued++
+	if e.inst.Src1.Valid() {
+		r.Activity.RegReads++
+	}
+	if e.inst.Src2.Valid() {
+		r.Activity.RegReads++
+	}
+	if e.inst.Op.IsMem() {
+		r.Activity.LSQOps++
+	}
+	return true
+}
+
+// markReady adds the entry at idx to the ready set.
+func (p *Pipeline) markReady(idx int) {
+	p.ready[idx>>6] |= 1 << uint(idx&63)
+	p.nReady++
 }
 
 // takeFU reserves a functional unit for op; it returns false if none is
@@ -252,7 +288,6 @@ func (p *Pipeline) tryIssueLoad(idx int, now int64, r *StepResult) bool {
 	}
 	if res.Async {
 		e.waitingMem = true
-		p.loadWaiting[idx] = true
 	} else {
 		e.execLeft = 1 + res.HitCycles // address generation + access
 	}
@@ -274,8 +309,8 @@ func (p *Pipeline) issuePrefetch(idx int, now int64, r *StepResult) {
 // dispatch moves decoded instructions from the fetch queue into the RUU,
 // performing renaming.
 func (p *Pipeline) dispatch(r *StepResult) {
-	for n := 0; n < p.cfg.DecodeWidth && len(p.fq) > 0; n++ {
-		fe := &p.fq[0]
+	for n := 0; n < p.cfg.DecodeWidth && p.fqLen > 0; n++ {
+		fe := &p.fq[p.fqHead]
 		if fe.fetchedAt >= p.step {
 			return // fetched this very cycle; visible to decode next cycle
 		}
@@ -289,13 +324,17 @@ func (p *Pipeline) dispatch(r *StepResult) {
 		}
 		idx := p.tail
 		e := &p.ruu[idx]
-		*e = ruuEntry{
-			valid:        true,
-			seq:          fe.seq,
-			inst:         fe.inst,
-			mispredicted: fe.mispred,
-			dependents:   e.dependents[:0],
-		}
+		e.valid = true
+		e.seq = fe.seq
+		e.inst = fe.inst
+		e.pendingSrcs = 0
+		e.issued = false
+		e.completed = false
+		e.execLeft = 0
+		e.waitingMem = false
+		e.addrKnown = false
+		e.mispredicted = fe.mispred
+		e.dependents = e.dependents[:0]
 		// Rename: link to in-flight producers.
 		for _, src := range [2]isa.Reg{fe.inst.Src1, fe.inst.Src2} {
 			if !src.Valid() {
@@ -305,6 +344,9 @@ func (p *Pipeline) dispatch(r *StepResult) {
 				e.pendingSrcs++
 				p.ruu[w].dependents = append(p.ruu[w].dependents, idx)
 			}
+		}
+		if e.pendingSrcs == 0 {
+			p.markReady(idx)
 		}
 		if fe.inst.HasDst() {
 			p.lastWriter[fe.inst.Dst] = idx
@@ -326,13 +368,17 @@ func (p *Pipeline) dispatch(r *StepResult) {
 				idx:   int32(idx),
 			})
 		}
-		p.unissued = append(p.unissued, int32(idx))
-		p.tail = (p.tail + 1) % p.cfg.RUUSize
+		if p.tail++; p.tail == len(p.ruu) {
+			p.tail = 0
+		}
 		p.count++
 		p.stats.Dispatched++
 		r.Activity.Decoded++
 		r.Activity.Renamed++
-		p.fq = p.fq[:copy(p.fq, p.fq[1:])]
+		if p.fqHead++; p.fqHead == len(p.fq) {
+			p.fqHead = 0
+		}
+		p.fqLen--
 	}
 }
 
@@ -354,7 +400,7 @@ func (p *Pipeline) fetch(now int64, r *StepResult) {
 	blockMask := ^uint64(p.cfg.FetchBlockBytes - 1)
 	var curBlock uint64
 	first := true
-	for n := 0; n < p.cfg.FetchWidth && len(p.fq) < p.cfg.FetchQueueSize; n++ {
+	for n := 0; n < p.cfg.FetchWidth && p.fqLen < len(p.fq); n++ {
 		if !p.havePending {
 			p.src.Next(&p.pending)
 			p.havePending = true
@@ -375,10 +421,18 @@ func (p *Pipeline) fetch(now int64, r *StepResult) {
 		} else if blk != curBlock {
 			return // next block starts next cycle
 		}
-		inst := p.pending
 		p.havePending = false
 		p.nextSeq++
-		fe := fqEntry{inst: inst, seq: p.nextSeq, fetchedAt: p.step}
+		slot := p.fqHead + p.fqLen
+		if slot >= len(p.fq) {
+			slot -= len(p.fq)
+		}
+		fe := &p.fq[slot]
+		fe.inst = p.pending
+		fe.seq = p.nextSeq
+		fe.fetchedAt = p.step
+		fe.mispred = false
+		inst := &fe.inst
 		stop := false
 		if inst.Op == isa.OpBranch {
 			p.stats.Branches++
@@ -396,7 +450,7 @@ func (p *Pipeline) fetch(now int64, r *StepResult) {
 				stop = true // correctly-predicted taken: redirect next cycle
 			}
 		}
-		p.fq = append(p.fq, fe)
+		p.fqLen++
 		p.stats.Fetched++
 		r.Activity.Fetched++
 		if stop {

@@ -173,8 +173,8 @@ func TestFetchQueueNeverExceedsCap(t *testing.T) {
 	p := build(prog, fp)
 	for i := 0; i < 300; i++ {
 		p.Step(int64(i))
-		if len(p.fq) > p.cfg.FetchQueueSize {
-			t.Fatalf("fetch queue grew to %d (cap %d)", len(p.fq), p.cfg.FetchQueueSize)
+		if p.fqLen > p.cfg.FetchQueueSize {
+			t.Fatalf("fetch queue grew to %d (cap %d)", p.fqLen, p.cfg.FetchQueueSize)
 		}
 	}
 }

@@ -184,10 +184,10 @@ type ruuEntry struct {
 	issued      bool
 	completed   bool
 	// execLeft counts down pipeline cycles after issue; the entry completes
-	// when it reaches zero (memory ops that miss set waitingMem instead).
+	// when it reaches zero (loads that miss set waitingMem instead, until
+	// LoadDone moves them to the filled list).
 	execLeft   int
 	waitingMem bool
-	memDone    bool
 	addrKnown  bool
 
 	mispredicted bool
@@ -226,8 +226,12 @@ type Pipeline struct {
 	// Rename: architectural register → RUU index of last writer (-1 none).
 	lastWriter [isa.NumRegs]int
 
-	// Fetch queue.
+	// Fetch queue: a fixed ring of FetchQueueSize slots holding fqLen
+	// entries from fqHead on. Fetch writes the slot after the last entry;
+	// dispatch pops fqHead.
 	fq          []fqEntry
+	fqHead      int
+	fqLen       int
 	pending     isa.Inst // next unfetched instruction (peeked from src)
 	havePending bool
 
@@ -240,11 +244,7 @@ type Pipeline struct {
 	// FU pools: per-unit free-at step.
 	fuFreeAt [isa.NumFUPools][]int64
 
-	// loadWaiting flags RUU entries with an async load in flight; the RUU
-	// index doubles as the memory port's load token, so completion is a
-	// slice index instead of a map lookup.
-	loadWaiting []bool
-	nextSeq     uint64
+	nextSeq uint64
 
 	// storeQ is the in-flight stores in age order: pushed at dispatch,
 	// popped at commit (stores retire strictly in order). Load issue scans
@@ -253,15 +253,21 @@ type Pipeline struct {
 	storeQ     []storeRef
 	storeQHead int
 
-	// unissued lists RUU indices awaiting issue, in age order (dispatch
-	// appends; issue compacts). It spares the issue stage from re-walking
-	// already-issued window entries every cycle.
-	unissued []int32
+	// ready has one bit per RUU slot, set while the entry is valid,
+	// unissued and has no pending source operands; nReady counts the set
+	// bits. Dispatch and wakeup set a bit, issue clears it, so the issue
+	// stage visits only entries that can issue this cycle.
+	ready  []uint64
+	nReady int
 
-	// execList lists RUU indices that are issued but not yet completed, so
+	// execList lists RUU indices counting down their execution latency, so
 	// writeback touches only executing entries instead of the full window.
-	// Order is issue order; completion effects within a cycle commute.
+	// filled lists loads whose memory data arrived (LoadDone); the next
+	// writeback completes them. A load waiting on memory is in neither
+	// list. Completion effects within a cycle commute, so list order is
+	// as good as age order.
 	execList []int32
+	filled   []int32
 
 	stats Stats
 }
@@ -291,8 +297,8 @@ func New(cfg Config, src InstSource, pred *branch.Predictor, port MemPort) *Pipe
 
 // Reset reinitializes the pipeline in place to the state of
 // New(cfg, src, pred, port), reusing the RUU, fetch-queue, store-queue,
-// FU-pool and issue-list backing arrays when the geometry is unchanged.
-// Per-entry dependent lists keep their backing across runs.
+// FU-pool, ready-set and execution-list backing arrays when the geometry
+// is unchanged. Per-entry dependent lists keep their backing across runs.
 func (p *Pipeline) Reset(cfg Config, src InstSource, pred *branch.Predictor, port MemPort) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -304,23 +310,29 @@ func (p *Pipeline) Reset(cfg Config, src InstSource, pred *branch.Predictor, por
 	p.step = 0
 	if len(p.ruu) != cfg.RUUSize {
 		p.ruu = make([]ruuEntry, cfg.RUUSize)
-		p.loadWaiting = make([]bool, cfg.RUUSize)
+		p.ready = make([]uint64, (cfg.RUUSize+63)/64)
+		p.execList = make([]int32, 0, cfg.RUUSize)
+		p.filled = make([]int32, 0, cfg.RUUSize)
 	} else {
 		for i := range p.ruu {
 			clearRUUEntry(&p.ruu[i])
-			p.loadWaiting[i] = false
 		}
+		for i := range p.ready {
+			p.ready[i] = 0
+		}
+		p.execList = p.execList[:0]
+		p.filled = p.filled[:0]
 	}
+	p.nReady = 0
 	p.head, p.tail, p.count = 0, 0, 0
 	p.lsqCount = 0
 	for i := range p.lastWriter {
 		p.lastWriter[i] = -1
 	}
-	if cap(p.fq) < cfg.FetchQueueSize {
-		p.fq = make([]fqEntry, 0, cfg.FetchQueueSize)
-	} else {
-		p.fq = p.fq[:0]
+	if len(p.fq) != cfg.FetchQueueSize {
+		p.fq = make([]fqEntry, cfg.FetchQueueSize)
 	}
+	p.fqHead, p.fqLen = 0, 0
 	p.pending = isa.Inst{}
 	p.havePending = false
 	p.waitingIFetch = false
@@ -338,13 +350,6 @@ func (p *Pipeline) Reset(cfg Config, src InstSource, pred *branch.Predictor, por
 		p.storeQ = p.storeQ[:0]
 	}
 	p.storeQHead = 0
-	if cap(p.unissued) < cfg.RUUSize {
-		p.unissued = make([]int32, 0, cfg.RUUSize)
-		p.execList = make([]int32, 0, cfg.RUUSize)
-	} else {
-		p.unissued = p.unissued[:0]
-		p.execList = p.execList[:0]
-	}
 	p.stats = Stats{}
 }
 
@@ -375,11 +380,7 @@ func (p *Pipeline) Stats() Stats { return p.stats }
 
 // ResetStats clears the counters at the end of warm-up. Microarchitectural
 // state (RUU contents, predictor training, fetch position) persists.
-func (p *Pipeline) ResetStats() {
-	steps := p.stats.Steps
-	p.stats = Stats{}
-	_ = steps
-}
+func (p *Pipeline) ResetStats() { p.stats = Stats{} }
 
 // Committed returns the number of retired instructions.
 func (p *Pipeline) Committed() uint64 { return p.stats.Committed }
@@ -390,18 +391,19 @@ func (p *Pipeline) RUUOccupancy() int { return p.count }
 // LSQOccupancy returns the number of in-flight memory ops (for tests).
 func (p *Pipeline) LSQOccupancy() int { return p.lsqCount }
 
-// LoadDone signals that the async load identified by token has its data.
-// The load completes at the next pipeline edge (modeling the fill/bypass
-// synchronization at the cache boundary).
+// LoadDone signals that the async load identified by token (its RUU
+// index) has its data. The load completes at the next pipeline edge
+// (modeling the fill/bypass synchronization at the cache boundary).
 func (p *Pipeline) LoadDone(token uint64) {
-	if token >= uint64(len(p.loadWaiting)) || !p.loadWaiting[token] {
+	if token >= uint64(len(p.ruu)) {
 		return
 	}
-	p.loadWaiting[token] = false
 	e := &p.ruu[token]
-	if e.valid && e.waitingMem {
-		e.memDone = true
+	if !e.waitingMem {
+		return
 	}
+	e.waitingMem = false
+	p.filled = append(p.filled, int32(token))
 }
 
 // IFetchDone signals that the outstanding instruction-fetch miss filled.

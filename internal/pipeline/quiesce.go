@@ -18,41 +18,33 @@ package pipeline
 // nothing can commit, write back, issue, dispatch or fetch until an
 // external memory event (an L2 fill or I-fetch fill) arrives. It holds
 // across consecutive cycles until such an event, because every condition
-// below depends only on state that external callbacks change.
+// below depends only on state that external callbacks change. Every check
+// is O(1): the ready set and the execution lists already name the only
+// entries that could act.
 //
 //vsv:hotpath
 func (p *Pipeline) Quiesced() bool {
+	// Issue and writeback: no entry may be ready to issue — even a failed
+	// attempt (FU busy, MSHR full, unknown store address) probes structures
+	// or the memory port every cycle — and every issued entry must be
+	// waiting on memory with no fill delivered yet. Anything on execList (an
+	// execLeft countdown) or filled (a delivered fill) makes progress on its
+	// own.
+	if p.nReady > 0 || len(p.execList) > 0 || len(p.filled) > 0 {
+		return false
+	}
 	// Commit: the head entry must not be retirable. A completed head would
 	// commit (or, for stores, probe the memory port and count a
 	// StoreCommitStalls on MSHR pressure — a retry we must not skip).
 	if p.count > 0 && p.ruu[p.head].completed {
 		return false
 	}
-	// Writeback: every executing entry must be waiting on memory with no
-	// fill delivered yet. Anything else (an execLeft countdown, a
-	// delivered fill) makes progress on its own.
-	for _, idx := range p.execList {
-		e := &p.ruu[idx]
-		if !e.waitingMem || e.memDone {
-			return false
-		}
-	}
-	// Issue: every unissued entry must lack source operands. An entry with
-	// pendingSrcs == 0 would attempt issue — even a failed attempt (FU
-	// busy, MSHR full, unknown store address) probes structures or the
-	// memory port every cycle.
-	for _, idx := range p.unissued {
-		e := &p.ruu[idx]
-		if !e.valid || e.pendingSrcs == 0 {
-			return false
-		}
-	}
 	// Dispatch: the fetch-queue head must be blocked by a full RUU or LSQ.
 	// (The fetchedAt same-cycle condition is transient — it clears after
 	// one Step — and never holds between Steps; treated as not quiesced
 	// for safety.)
-	if len(p.fq) > 0 {
-		fe := &p.fq[0]
+	if p.fqLen > 0 {
+		fe := &p.fq[p.fqHead]
 		if fe.fetchedAt >= p.step {
 			return false
 		}
@@ -70,7 +62,7 @@ func (p *Pipeline) Quiesced() bool {
 	case p.waitingIFetch, p.haveMispredict:
 	case p.step < p.fetchResumeStep:
 		return false
-	case len(p.fq) < p.cfg.FetchQueueSize:
+	case p.fqLen < len(p.fq):
 		return false
 	}
 	return true
@@ -95,12 +87,12 @@ func (p *Pipeline) SkipQuiesced(edges int64) {
 	} else if p.haveMispredict {
 		p.stats.FetchStallBranch += uint64(edges)
 	}
-	if len(p.fq) > 0 {
+	if p.fqLen > 0 {
 		// Quiesced established the head is blocked; dispatch charges the
 		// stall to whichever structure is full, once per cycle.
 		if p.count >= p.cfg.RUUSize {
 			p.stats.RUUFullStalls += uint64(edges)
-		} else if p.fq[0].inst.Op.IsMem() && p.lsqCount >= p.cfg.LSQSize {
+		} else if p.fq[p.fqHead].inst.Op.IsMem() && p.lsqCount >= p.cfg.LSQSize {
 			p.stats.LSQFullStalls += uint64(edges)
 		}
 	}

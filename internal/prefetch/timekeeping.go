@@ -157,6 +157,7 @@ type TimeKeeping struct {
 	// kept) until their bucket arrives.
 	wheel   [wheelSlots][]wheelEntry
 	matured []uint64 // scratch: blocks maturing in the current bucket
+	targets []uint64 // scratch: Tick's result, valid until the next Tick
 	// predictor maps signatures to the next block address needed.
 	predictor []uint64
 	predValid []bool
@@ -174,6 +175,11 @@ type TimeKeeping struct {
 	// their slots hold nothing, or only future-bucket entries whose
 	// keep-compaction rewrites the slot with identical contents.
 	nextBucket int64
+	// scanFrom is the bucket after the last one Tick popped. Every
+	// scheduled entry matures at or after it: schedule always lands past
+	// the current boundary, and fast-forward never skips a boundary at or
+	// before nextBucket. The rescan starts there.
+	scanFrom int64
 
 	stats Stats
 }
@@ -209,6 +215,7 @@ func (tk *TimeKeeping) Reset(cfg Config) {
 		tk.wheel[slot] = tk.wheel[slot][:0]
 	}
 	tk.matured = tk.matured[:0]
+	tk.targets = tk.targets[:0]
 	if len(tk.predictor) != cfg.PredictorEntries {
 		tk.predictor = make([]uint64, cfg.PredictorEntries)
 		tk.predValid = make([]bool, cfg.PredictorEntries)
@@ -224,6 +231,7 @@ func (tk *TimeKeeping) Reset(cfg Config) {
 	}
 	tk.scheduled = 0
 	tk.nextBucket = 0
+	tk.scanFrom = 0
 	tk.stats = Stats{}
 }
 
@@ -312,9 +320,21 @@ func (tk *TimeKeeping) NextEventTick(now int64) int64 {
 	return ((now + res - 1) / res) * res
 }
 
-// rescanNextBucket recomputes the earliest scheduled bucket (O(entries)).
-// Called lazily after the previous earliest bucket was popped.
+// rescanNextBucket recomputes the earliest scheduled bucket. Called lazily
+// after the previous earliest bucket was popped. Every entry matures at or
+// after scanFrom, so the first bucket from there whose slot holds an entry
+// for exactly that bucket is the earliest; usually it lies a few slots
+// ahead. Only when no entry matures within one lap of the ring does it fall
+// back to the full scan.
 func (tk *TimeKeeping) rescanNextBucket() {
+	for b := tk.scanFrom; b < tk.scanFrom+wheelSlots; b++ {
+		for _, we := range tk.wheel[b&(wheelSlots-1)] {
+			if we.bucket == b {
+				tk.nextBucket = b
+				return
+			}
+		}
+	}
 	min := int64(1<<63 - 1)
 	for slot := range tk.wheel {
 		for _, we := range tk.wheel[slot] {
@@ -411,7 +431,8 @@ type Host interface {
 // Tick advances the decay clock; at each decay boundary it pops matured
 // dead-check events and returns the block addresses that should be
 // prefetched, consulting host to map blocks to sets and to filter
-// requests whose target is already covered.
+// requests whose target is already covered. The returned slice is scratch
+// owned by tk: it is valid until the next Tick.
 //
 //vsv:hotpath
 func (tk *TimeKeeping) Tick(now int64, host Host) []uint64 {
@@ -439,6 +460,7 @@ func (tk *TimeKeeping) Tick(now int64, host Host) []uint64 {
 	}
 	if dropped := len(entries) - len(kept); dropped > 0 {
 		tk.scheduled -= dropped
+		tk.scanFrom = bucket + 1
 		if tk.nextBucket != nextBucketUnknown && tk.nextBucket <= bucket {
 			tk.nextBucket = nextBucketUnknown
 		}
@@ -448,7 +470,7 @@ func (tk *TimeKeeping) Tick(now int64, host Host) []uint64 {
 	if len(blocks) == 0 {
 		return nil
 	}
-	var out []uint64
+	out := tk.targets[:0]
 	for _, block := range blocks {
 		s := tk.resident[block]
 		if s == nil || s.deadDone {
@@ -498,5 +520,6 @@ func (tk *TimeKeeping) Tick(now int64, host Host) []uint64 {
 			tk.stats.FilteredPresent++
 		}
 	}
+	tk.targets = out
 	return out
 }

@@ -1,6 +1,9 @@
 package prefetch
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func tkSmall() *TimeKeeping {
 	cfg := DefaultConfig()
@@ -246,5 +249,84 @@ func TestConfigAccessor(t *testing.T) {
 	bad.StrideCoverage = 1.5
 	if bad.Validate() == nil {
 		t.Error("coverage > 1 accepted")
+	}
+}
+
+// scanHorizon is NextEventTick computed from a full scan of the wheel: the
+// reference the cached, forward-scanning horizon must match. It also checks
+// the scheduled count against the entries actually in the wheel.
+func scanHorizon(t *testing.T, tk *TimeKeeping, now int64) int64 {
+	t.Helper()
+	min, n := int64(1<<63-1), 0
+	for slot := range tk.wheel {
+		for _, we := range tk.wheel[slot] {
+			n++
+			if we.bucket < min {
+				min = we.bucket
+			}
+		}
+	}
+	if n != tk.scheduled {
+		t.Fatalf("wheel holds %d entries, scheduled says %d", n, tk.scheduled)
+	}
+	if n == 0 {
+		return 1<<63 - 1
+	}
+	res := int64(tk.cfg.DecayResolution)
+	if at := min * res; at > now {
+		return at
+	}
+	return ((now + res - 1) / res) * res
+}
+
+// TestPropertyNextEventTickMatchesFullScan drives random fill, access and
+// evict sequences through the prefetcher while time advances the way the
+// simulator advances it: tick by tick, or in fast-forward jumps that skip
+// decay boundaries up to the current horizon. After every step the horizon
+// must equal a full scan of the wheel. Long dead thresholds on some seeds
+// put entries beyond one lap of the ring, exercising the rescan fallback.
+func TestPropertyNextEventTickMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		if seed%3 == 0 {
+			cfg.MinDeadTicks = wheelSlots * int64(cfg.DecayResolution) * 2
+		}
+		tk := New(cfg)
+		var resident []uint64
+		now := int64(r.Intn(100))
+		for step := 0; step < 3000; step++ {
+			switch op := r.Intn(10); {
+			case op < 3:
+				block := uint64(r.Intn(2048)) << 5
+				tk.OnFill(block, setOf(block), now)
+				resident = append(resident, block)
+			case op < 5 && len(resident) > 0:
+				tk.OnAccess(resident[r.Intn(len(resident))], now)
+			case op < 6 && len(resident) > 0:
+				i := r.Intn(len(resident))
+				block := resident[i]
+				resident[i] = resident[len(resident)-1]
+				resident = resident[:len(resident)-1]
+				tk.OnEvict(block, setOf(block), now)
+			case op < 9:
+				// Tick through up to a few decay boundaries.
+				for end := now + 1 + int64(r.Intn(80)); now < end; now++ {
+					tk.Tick(now, neverPresent)
+				}
+			default:
+				// Fast-forward: skip straight to a tick at or before the
+				// horizon (anywhere, when nothing is scheduled).
+				if h := tk.NextEventTick(now); h == 1<<63-1 {
+					now += int64(r.Intn(50_000))
+				} else {
+					now += r.Int63n(h - now + 1)
+				}
+			}
+			if got, want := tk.NextEventTick(now), scanHorizon(t, tk, now); got != want {
+				t.Fatalf("seed %d, step %d, now %d: NextEventTick = %d, full scan says %d",
+					seed, step, now, got, want)
+			}
+		}
 	}
 }

@@ -57,6 +57,15 @@ type Machine struct {
 	tkBuf *prefetch.Buffer
 	rec   *trace.Recorder
 
+	// ctlKept, tkKept and tkBufKept hold the controller and the
+	// Time-Keeping prefetcher and buffer once built, including across runs
+	// whose configuration detaches them (ctl, tk, tkBuf nil), so a later
+	// run that attaches them again resets them in place instead of
+	// rebuilding their tables.
+	ctlKept   *core.Controller
+	tkKept    *prefetch.TimeKeeping
+	tkBufKept *prefetch.Buffer
+
 	now         int64
 	l2Events    []l2Event
 	l2Ready     []l2Event // scratch
@@ -136,8 +145,9 @@ func build(cfg Config, src pipeline.InstSource) (*Machine, error) {
 // and queue backings, the Time-Keeping block-state pool and timing-wheel
 // ring, recorder sample buffers, and the pooled bus transactions. Optional
 // subsystems (VSV controller, Time-Keeping, recorder, fault injector) are
-// attached, recycled or detached to match cfg. On error the machine must
-// not be reused without a further successful Reset.
+// attached, recycled or detached to match cfg; a detached controller or
+// Time-Keeping unit stays kept for the next run that attaches it. On error
+// the machine must not be reused without a further successful Reset.
 //
 // The campaign sweep engine calls this between memo-missed runs so a
 // worker's arena is recycled instead of reallocated; see internal/sweep.
@@ -188,29 +198,24 @@ func (m *Machine) Reset(cfg Config, src pipeline.InstSource) error {
 			}
 		}
 	}
+	m.ctl, m.tk, m.tkBuf = nil, nil, nil
 	if cfg.VSV != nil {
-		if m.ctl == nil {
-			m.ctl = core.New(cfg.VSV.Policy, cfg.VSV.Timing)
+		if m.ctlKept == nil {
+			m.ctlKept = core.New(cfg.VSV.Policy, cfg.VSV.Timing)
 		} else {
-			m.ctl.Reset(cfg.VSV.Policy, cfg.VSV.Timing)
+			m.ctlKept.Reset(cfg.VSV.Policy, cfg.VSV.Timing)
 		}
-	} else {
-		m.ctl = nil
+		m.ctl = m.ctlKept
 	}
-	if cfg.TimeKeeping != nil {
-		if m.tk == nil {
-			m.tk = prefetch.New(*cfg.TimeKeeping)
+	if tc := cfg.TimeKeeping; tc != nil {
+		if m.tkKept == nil {
+			m.tkKept = prefetch.New(*tc)
+			m.tkBufKept = prefetch.NewBuffer(tc.BufferEntries, tc.BufferLatency)
 		} else {
-			m.tk.Reset(*cfg.TimeKeeping)
+			m.tkKept.Reset(*tc)
+			m.tkBufKept.Reset(tc.BufferEntries, tc.BufferLatency)
 		}
-		if m.tkBuf == nil {
-			m.tkBuf = prefetch.NewBuffer(cfg.TimeKeeping.BufferEntries, cfg.TimeKeeping.BufferLatency)
-		} else {
-			m.tkBuf.Reset(cfg.TimeKeeping.BufferEntries, cfg.TimeKeeping.BufferLatency)
-		}
-	} else {
-		m.tk = nil
-		m.tkBuf = nil
+		m.tk, m.tkBuf = m.tkKept, m.tkBufKept
 	}
 	if cfg.TraceInterval > 0 {
 		maxS := cfg.TraceSamples

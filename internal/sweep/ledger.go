@@ -53,14 +53,14 @@ const (
 // checkpoint file apart from the claim lines, which the checkpoint reader
 // rejects as corruption — so ledgers and checkpoints stay distinct files.
 type Ledger struct {
-	mu      sync.Mutex
-	f       *os.File
-	worker  string
-	ttl     time.Duration
-	poll    time.Duration
-	readOff int64  // bytes consumed from the file so far
-	pending []byte // trailing bytes not yet terminated by '\n'
-	buf     []byte // read buffer, reused across refreshes
+	mu       sync.Mutex
+	f        *os.File
+	worker   string
+	ttl      time.Duration
+	poll     time.Duration
+	readOff  int64  // bytes consumed from the file so far
+	pending  []byte // trailing bytes not yet terminated by '\n'
+	buf      []byte // read buffer, reused across refreshes
 	done     map[string]sim.Results
 	claims   map[string]claimState
 	poisoned map[string]string // fingerprint → quarantine reason
@@ -119,10 +119,10 @@ func OpenLedger(path string, opts ...LedgerOption) (*Ledger, error) {
 		return nil, fmt.Errorf("sweep: ledger: %w", err)
 	}
 	l := &Ledger{
-		f:      f,
-		worker: "pid-" + strconv.Itoa(os.Getpid()),
-		ttl:    10 * time.Second,
-		poll:   25 * time.Millisecond,
+		f:        f,
+		worker:   "pid-" + strconv.Itoa(os.Getpid()),
+		ttl:      10 * time.Second,
+		poll:     25 * time.Millisecond,
 		done:     make(map[string]sim.Results),
 		claims:   make(map[string]claimState),
 		poisoned: make(map[string]string),
