@@ -54,13 +54,14 @@ serve-smoke:
 campaign-smoke:
 	sh scripts/campaign_smoke.sh
 
-# Robustness soak: loop the fault-injection, watchdog and campaign-runner
-# tests under the race detector. Fault schedules exercise different
-# interleavings per -count iteration only through scheduling, so the loop
-# shakes out timing-dependent bugs the single-shot suite would miss.
+# Robustness soak: loop the fault-injection, watchdog, campaign-runner,
+# worker-bound, bounded-cache and ledger tests under the race detector.
+# Fault schedules exercise different interleavings per -count iteration
+# only through scheduling, so the loop shakes out timing-dependent bugs
+# the single-shot suite would miss.
 stress:
 	$(GO) test -race -count=20 ./internal/faults/
-	$(GO) test -race -count=20 -run 'Fault|Watchdog|Robust|Checkpoint|RunError|FailFast|ContinueOnError|Timeout|Resume' \
+	$(GO) test -race -count=20 -run 'Fault|Watchdog|Robust|Checkpoint|RunError|FailFast|ContinueOnError|Timeout|Resume|CacheBound|Bound|Ledger' \
 		./internal/sim/ ./internal/sweep/ ./internal/experiments/
 
 # Short native-fuzz smoke of the hardened parsers (the CI budget; run with

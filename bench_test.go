@@ -122,7 +122,6 @@ func BenchmarkFigure3Timeline(b *testing.B) {
 // BenchmarkFigure4 regenerates Figure 4 (VSV with/without FSMs) on the
 // subset and reports the MR>4 averages the paper headlines.
 func BenchmarkFigure4(b *testing.B) {
-	warmArenas(b)
 	var save, deg float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure4(benchOpts(), benchSubset)
@@ -146,7 +145,6 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkFigure5 regenerates the down-threshold sweep on two benchmarks
 // and reports the threshold-0 vs threshold-5 savings spread.
 func BenchmarkFigure5(b *testing.B) {
-	warmArenas(b)
 	var spread float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure5(benchOpts(), []string{"mcf", "swim"}, []int{0, 3, 5})
@@ -161,7 +159,6 @@ func BenchmarkFigure5(b *testing.B) {
 // BenchmarkFigure6 regenerates the up-trigger sweep on two benchmarks and
 // reports the Last-R minus First-R savings spread.
 func BenchmarkFigure6(b *testing.B) {
-	warmArenas(b)
 	var spread float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure6(benchOpts(), []string{"mcf", "swim"}, experiments.Figure6Variants())
@@ -177,7 +174,6 @@ func BenchmarkFigure6(b *testing.B) {
 // BenchmarkFigure7 regenerates the Time-Keeping stress test on the subset
 // and reports savings with and without prefetching.
 func BenchmarkFigure7(b *testing.B) {
-	warmArenas(b)
 	var noTK, withTK float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure7(benchOpts(), benchSubset)
@@ -360,8 +356,8 @@ func BenchmarkStallSkipPointerChase(b *testing.B) {
 }
 
 // campaignGrid is the throughput gate's point grid: the shape of a Figure
-// 4–7 sweep (benchmarks × (baseline, VSV, VSV+TK) × workload seeds, one
-// shared machine geometry) at micro scale. The windows are deliberately
+// 4–7 sweep (2 benchmarks × (baseline, VSV, VSV+TK) × 8 workload seeds,
+// one shared machine geometry) at micro scale. The windows are deliberately
 // tiny and the prewarm replay is dropped so per-point orchestration cost —
 // machine construction versus in-place arena recycle — dominates the
 // measurement; that overhead is what the gate pins, not simulation speed
@@ -369,8 +365,10 @@ func BenchmarkStallSkipPointerChase(b *testing.B) {
 // paths replay prewarm identically, so including it would only dilute the
 // ratio with work common to both.
 func campaignGrid() []sweep.Point {
-	return microPoints(func(cfg sim.Config) sim.Config {
-		cfg = microWindows(cfg)
+	micro := func(cfg sim.Config) sim.Config {
+		cfg.WarmupInstructions = 0
+		cfg.MeasureInstructions = 100
+		cfg.Prewarm = nil
 		// Quadruple the cache geometry: a fresh build pays allocation and
 		// first-touch page faults on these arrays every point, while an
 		// arena reset reuses the already-faulted backing in place, so the
@@ -379,25 +377,10 @@ func campaignGrid() []sweep.Point {
 		cfg.DL1.SizeBytes *= 4
 		cfg.L2.SizeBytes *= 4
 		return cfg
-	})
-}
-
-// microWindows drops the prewarm replay and shrinks the run windows to
-// orchestration scale (both paths would replay prewarm identically, so it
-// only dilutes the fresh-vs-reuse ratio with work common to both).
-func microWindows(cfg sim.Config) sim.Config {
-	cfg.WarmupInstructions = 0
-	cfg.MeasureInstructions = 100
-	cfg.Prewarm = nil
-	return cfg
-}
-
-// microPoints builds the shared micro grid (2 benchmarks x base/VSV/TK x 8
-// seeds) with the given config transform applied to every point.
-func microPoints(transform func(sim.Config) sim.Config) []sweep.Point {
-	base := transform(benchCfg())
-	vsv := transform(benchCfg().WithVSV(core.PolicyFSM()))
-	tk := transform(benchCfg().WithVSV(core.PolicyFSM()).WithTimeKeeping())
+	}
+	base := micro(benchCfg())
+	vsv := micro(benchCfg().WithVSV(core.PolicyFSM()))
+	tk := micro(benchCfg().WithVSV(core.PolicyFSM()).WithTimeKeeping())
 	var pts []sweep.Point
 	for _, bench := range []string{"gcc", "eon"} {
 		for ci, cfg := range []sim.Config{base, vsv, tk} {
@@ -412,23 +395,6 @@ func microPoints(transform func(sim.Config) sim.Config) []sweep.Point {
 		}
 	}
 	return pts
-}
-
-// warmArenas populates the process-wide arena pool with one untimed micro
-// campaign and restarts the benchmark clock. Figure benchmarks call it so
-// they measure steady-state batched execution — workers recycling pooled
-// machines — rather than the whole process's one-time cold construction,
-// which would otherwise be billed to whichever figure happens to run first.
-func warmArenas(b *testing.B) {
-	b.Helper()
-	eng := sweep.New(sweep.Workers(benchOpts().Parallelism))
-	// The warm grid keeps the figures' machine geometry (microWindows only
-	// shrinks run lengths) so the parked arenas match what the figure
-	// campaigns will reset to.
-	if _, err := eng.Run(context.Background(), microPoints(microWindows)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 }
 
 // BenchmarkCampaignThroughput measures campaign throughput in executed
@@ -481,7 +447,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	})
 	b.Run("engine", func(b *testing.B) {
 		eng := sweep.New(sweep.Workers(benchOpts().Parallelism), sweep.WithoutCache())
-		// One untimed campaign warms the workers' arenas (construction plus
+		// One untimed campaign warms the engine's arenas (construction plus
 		// the first touch of the enlarged cache backings), so the timed
 		// region measures the engine's steady-state dispatch throughput —
 		// cold construction cost is the "fresh" sub-benchmark's subject.

@@ -43,7 +43,7 @@ import (
 type flags struct {
 	exp      string
 	procs    int
-	parallel int
+	parallel *int
 	benches  string
 	seeds    int
 	seq      bool
@@ -68,8 +68,7 @@ func parseFlags() *flags {
 	f := &flags{}
 	flag.StringVar(&f.exp, "exp", "all", "experiment: table1, table2, fig4, fig5, fig6, fig7, summary, residency, robustness, sensitivity, all")
 	flag.IntVar(&f.procs, "procs", 4, "worker processes to fork over the shared ledger")
-	f.parallel = 0
-	flag.IntVar(&f.parallel, "parallel", 0, "engine workers per process (0 = GOMAXPROCS)")
+	f.parallel = cliconfig.RegisterParallel(flag.CommandLine)
 	flag.StringVar(&f.benches, "benchmarks", "", "comma-separated benchmark subset (default: the experiment's own set)")
 	flag.IntVar(&f.seeds, "seeds", 5, "workload seeds for -exp robustness")
 	flag.BoolVar(&f.seq, "seq", false, "render artefacts sequentially (same output bytes)")
@@ -118,7 +117,7 @@ func campaign(f *flags) ([]experiments.Artefact, experiments.Spec, experiments.O
 	o := experiments.Options{
 		WarmupInstructions:  f.sim.Warmup,
 		MeasureInstructions: f.sim.Measure,
-		Parallelism:         f.parallel,
+		Parallelism:         *f.parallel,
 	}
 	return arts, spec, o
 }
@@ -160,7 +159,7 @@ func runWorker(f *flags, wid int) int {
 	defer led.Close()
 
 	engineOpts := []sweep.Option{
-		sweep.Workers(f.parallel),
+		sweep.Workers(*f.parallel),
 		sweep.WithLedger(led),
 		// One failing point must not stop a worker from contributing the
 		// rest of its share; the parent's render pass surfaces failures.
@@ -255,7 +254,7 @@ func runParent(f *flags) int {
 		fmt.Fprintf(os.Stderr, "vsvcampaign: supervisor: %d restarts, %d slots abandoned, %d points quarantined (campaign continues; surviving claims are re-stolen)\n",
 			sup.Restarts, len(sup.Exhausted), len(sup.Poisoned))
 	}
-	engineOpts := []sweep.Option{sweep.Workers(f.parallel), sweep.WithLedger(led)}
+	engineOpts := []sweep.Option{sweep.Workers(*f.parallel), sweep.WithLedger(led)}
 	if f.progress {
 		engineOpts = append(engineOpts, sweep.OnProgress(func(p sweep.Progress) {
 			fmt.Fprintf(os.Stderr, "render: %d/%d points\n", p.Done, p.Total)

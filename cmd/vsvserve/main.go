@@ -78,12 +78,9 @@ func main() {
 		engineOpts = append(engineOpts, sweep.WithCheckpoint(cp))
 	}
 
-	peers, err := serveFlags.PeerList()
-	if err != nil {
-		fail(err)
-	}
 	var journal *campaign.Journal
 	if serveFlags.Journal != "" {
+		var err error
 		journal, err = campaign.OpenJournal(serveFlags.Journal)
 		if err != nil {
 			fail(err)
@@ -111,17 +108,11 @@ func main() {
 		MaxConcurrent:   serveFlags.MaxJobs,
 		MaxPointsPerJob: serveFlags.MaxPoints,
 		MaxDoneJobs:     serveFlags.MaxDoneJobs,
-		Peers:           peers,
-		PeerIndex:       serveFlags.PeerIndex,
 		Journal:         journal,
 	})
 	// Close order matters: the server interrupts in-flight jobs and flushes
 	// their journal records, then the deferred journal Close fsyncs.
 	defer svc.Close()
-	if len(peers) > 1 {
-		fmt.Fprintf(os.Stderr, "vsvserve: peer %d of %d in a fingerprint-sharded deployment\n",
-			serveFlags.PeerIndex, len(peers))
-	}
 
 	ln, err := net.Listen("tcp", serveFlags.Addr)
 	if err != nil {

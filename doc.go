@@ -37,12 +37,13 @@
 //
 // # Campaigns
 //
-// Package sweep executes batches of (benchmark × configuration) points on a
-// bounded worker pool with context cancellation, memoizing completed runs
-// under a stable configuration hash and returning results in submission
-// order — so every experiment's output is byte-identical for any worker
-// count, and points shared between experiments (the per-benchmark
-// baselines, most notably) are simulated once. Package experiments and
+// Package sweep executes batches of (benchmark × configuration) points,
+// at most Workers simulations at once per engine and under context
+// cancellation, memoizing completed runs under a stable configuration hash
+// and returning results in submission order — so every experiment's output
+// is byte-identical for any worker count, and points shared between
+// experiments (the per-benchmark baselines, most notably) are simulated
+// once. Package experiments and
 // cmd/experiments run entirely on it; cmd binaries share flag parsing via
 // package cliconfig.
 //

@@ -203,10 +203,6 @@ type EngineStats struct {
 	// counts entries dropped by the engine's cache bound.
 	CacheEntries int `json:"cache_entries"`
 	CacheEvicted int `json:"cache_evicted"`
-	// CacheShards is the memo cache's lock-stripe count; ShardEntries is
-	// each shard's current population, in shard order.
-	CacheShards  int   `json:"cache_shards,omitempty"`
-	ShardEntries []int `json:"shard_entries,omitempty"`
 	// ArenaReuses and FreshBuilds split executed run attempts by whether
 	// they recycled a worker's machine arena in place or constructed one;
 	// ReuseRate is ArenaReuses over their sum.
@@ -236,11 +232,6 @@ type StatsSnapshot struct {
 	// QueueCap and MaxConcurrent echo the admission-control limits.
 	QueueCap      int `json:"queue_cap"`
 	MaxConcurrent int `json:"max_concurrent"`
-	// Peers and PeerIndex describe this process's place in a sharded
-	// deployment (zero when peering is off). Peer routers read Jobs.Queued
-	// against QueueCap from this snapshot to load-shed.
-	Peers     int `json:"peers,omitempty"`
-	PeerIndex int `json:"peer_index,omitempty"`
 }
 
 // Health is the GET /v1/healthz response.

@@ -19,9 +19,11 @@
 //
 // Admission control is three-layered: a bounded job queue (submissions
 // beyond it are rejected with 429 queue_full rather than buffered without
-// bound), a fixed number of concurrent job slots, and a per-job run budget
-// enforced by the engine (sweep.MaxPoints) so one job cannot monopolize the
-// worker pool by fanning out an enormous sweep.
+// bound), a fixed number of admitted (running) jobs, and a per-job run
+// budget enforced by the engine (sweep.MaxPoints) so one job cannot
+// monopolize the engine by fanning out an enormous sweep. Concurrent
+// simulations are bounded separately, across every admitted job, by the
+// shared engine's workers (sweep.Workers).
 package campaign
 
 import (
@@ -52,8 +54,9 @@ type Config struct {
 	// MaxQueue bounds the number of jobs queued but not yet running
 	// (default 16). Submissions beyond it fail with 429 queue_full.
 	MaxQueue int
-	// MaxConcurrent bounds the jobs simulating at once (default 2); each
-	// still fans out over the shared engine's worker pool.
+	// MaxConcurrent bounds the jobs admitted to run at once (default 2).
+	// It limits admission only: the simulations of every running job share
+	// the engine's worker bound (sweep.Workers).
 	MaxConcurrent int
 	// MaxPointsPerJob caps each job's engine submissions (0 = unlimited).
 	// Requests may tighten it per job (RunBudget) but never exceed it.
@@ -63,14 +66,6 @@ type Config struct {
 	// retains (0 = unlimited). Oldest-submitted terminal jobs are evicted
 	// first; an evicted id answers with the typed not_found error.
 	MaxDoneJobs int
-	// Peers lists the base URLs of every process in a fingerprint-sharded
-	// deployment (including this one), and PeerIndex says which entry this
-	// process is. With two or more peers, submissions whose fingerprint
-	// another peer owns are answered 307 toward that peer — unless its
-	// live stats say it cannot admit work, in which case the job runs here
-	// (load shedding). Empty disables routing. See peers.go.
-	Peers     []string
-	PeerIndex int
 	// Journal, when set, makes admitted jobs durable: every submission is
 	// fsynced to it before the 202, terminal states and shutdown
 	// interruptions are recorded, and New replays it — terminal jobs come
@@ -94,9 +89,6 @@ type Server struct {
 
 	queue chan *job
 	wg    sync.WaitGroup
-
-	// breaker guards the peer-routing health probes (see breaker.go).
-	breaker *peerBreaker
 
 	// mu guards the registry maps; journal writes happen outside it.
 	// //vsv:hotlock
@@ -126,13 +118,12 @@ func New(cfg Config) *Server {
 	}
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		engine:  eng,
-		mux:     http.NewServeMux(),
-		base:    base,
-		stop:    stop,
-		jobs:    make(map[string]*job),
-		breaker: newPeerBreaker(probePeerStats),
+		cfg:    cfg,
+		engine: eng,
+		mux:    http.NewServeMux(),
+		base:   base,
+		stop:   stop,
+		jobs:   make(map[string]*job),
 	}
 	// Journal replay happens before the queue is sized and the job slots
 	// start, so every interrupted job is guaranteed a queue slot: recovery
@@ -504,14 +495,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Sharded deployment: bounce the job toward the peer that owns its
-	// fingerprint (307 preserves method and body), unless that peer cannot
-	// admit work right now — then keep it here. One hop at most.
-	if dest, ok := s.routeFor(r, req, pts); ok {
-		http.Redirect(w, r, dest, http.StatusTemporaryRedirect)
-		return
-	}
-
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -815,8 +798,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Steals:         st.Steals,
 			CacheEntries:   s.engine.CacheLen(),
 			CacheEvicted:   st.Evicted,
-			CacheShards:    s.engine.CacheShards(),
-			ShardEntries:   s.engine.ShardLens(),
 			ArenaReuses:    st.ArenaReuses,
 			FreshBuilds:    st.FreshBuilds,
 			ReuseRate:      st.ReuseRate(),
@@ -825,8 +806,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Jobs:          counts,
 		QueueCap:      s.cfg.MaxQueue,
 		MaxConcurrent: s.cfg.MaxConcurrent,
-		Peers:         len(s.cfg.Peers),
-		PeerIndex:     s.cfg.PeerIndex,
 	})
 }
 

@@ -113,8 +113,9 @@ type ServeFlags struct {
 	// stderr, for smoke tests and scripts).
 	Addr string
 	// MaxQueue, MaxJobs and MaxPoints are the admission-control limits:
-	// queued-job bound, concurrent-job slots, per-job run budget
-	// (0 = unlimited).
+	// queued-job bound, admitted-job slots, per-job run budget
+	// (0 = unlimited). Concurrent simulations are bounded separately, across
+	// all admitted jobs, by -parallel.
 	MaxQueue  int
 	MaxJobs   int
 	MaxPoints int
@@ -124,11 +125,6 @@ type ServeFlags struct {
 	// MaxDoneJobs bounds retained terminal job records (0 = unlimited),
 	// oldest evicted first.
 	MaxDoneJobs int
-	// Peers is the comma-separated base-URL list of a fingerprint-sharded
-	// deployment (including this process); PeerIndex is this process's
-	// position in it. Empty disables peer routing.
-	Peers     string
-	PeerIndex int
 	// Journal is the durable job-journal path (empty disables): accepted
 	// jobs are fsynced to it before the 202 and replayed on restart, so a
 	// crashed or restarted server re-dispatches interrupted jobs.
@@ -139,33 +135,11 @@ type ServeFlags struct {
 func (f *ServeFlags) RegisterServe(fs *flag.FlagSet) {
 	fs.StringVar(&f.Addr, "addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 	fs.IntVar(&f.MaxQueue, "max-queue", 16, "jobs queued but not yet running before submissions get 429")
-	fs.IntVar(&f.MaxJobs, "max-jobs", 2, "jobs simulating concurrently (each fans out over -parallel workers)")
+	fs.IntVar(&f.MaxJobs, "max-jobs", 2, "jobs admitted to run at once (admission only; -parallel bounds simulations across all of them)")
 	fs.IntVar(&f.MaxPoints, "max-points", 0, "per-job run budget in engine submissions (0 = unlimited)")
 	fs.IntVar(&f.CacheEntries, "cache-entries", 0, "memo-cache bound in entries, oldest evicted first (0 = unbounded)")
 	fs.IntVar(&f.MaxDoneJobs, "max-done-jobs", 0, "finished job records retained before oldest are evicted (0 = unlimited)")
-	fs.StringVar(&f.Peers, "peers", "", "comma-separated peer base URLs for a fingerprint-sharded deployment (includes this process; empty = no routing)")
-	fs.IntVar(&f.PeerIndex, "peer-index", 0, "this process's index in -peers")
 	fs.StringVar(&f.Journal, "journal", "", "durable job journal (JSONL): accepted jobs survive crashes and are re-dispatched on restart (empty disables)")
-}
-
-// PeerList resolves the -peers flag into its URL list (nil when unset).
-func (f *ServeFlags) PeerList() ([]string, error) {
-	if strings.TrimSpace(f.Peers) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(f.Peers, ",")
-	peers := make([]string, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("-peers has an empty entry")
-		}
-		peers = append(peers, p)
-	}
-	if f.PeerIndex < 0 || f.PeerIndex >= len(peers) {
-		return nil, fmt.Errorf("-peer-index %d out of range for %d peers", f.PeerIndex, len(peers))
-	}
-	return peers, nil
 }
 
 // RegisterParallel registers the worker-count flag, defaulting to all

@@ -18,7 +18,8 @@ import (
 // one shared sweep engine: points repeated across artefacts (every figure
 // re-uses the per-benchmark baselines) are simulated exactly once, thanks
 // to the engine's memo cache and in-flight deduplication, and independent
-// figures overlap on the worker pool instead of queuing behind each other.
+// figures fill the engine's worker slots instead of queuing behind each
+// other.
 
 // Spec parameterizes a campaign. The zero value selects every artefact's
 // paper-default benchmark set and sweep axes.
@@ -111,10 +112,11 @@ func Artefacts(names ...string) ([]Artefact, error) {
 // historical byte stream exactly; the campaign service passes a per-job
 // buffer; nil discards the stream (outputs are still returned). Without an
 // Options.Engine it builds one shared engine, so overlapping points across
-// artefacts are simulated once either way. By default artefacts run
-// concurrently (each one's own fan-out still bounded by the engine's
-// workers); sequential preserves the one-at-a-time order for debugging.
-// Outputs are identical in both modes.
+// artefacts are simulated once either way. By default every artefact plans
+// and submits its points at once, and the engine's worker bound
+// (sweep.Workers) caps the simulations of all of them together;
+// sequential preserves the one-at-a-time order for debugging. Outputs are
+// identical in both modes.
 func RunArtefacts(w io.Writer, o Options, s Spec, arts []Artefact, sequential bool) ([]Output, error) {
 	if o.Engine == nil && o.Job == nil {
 		o.Engine = sweep.New(sweep.Workers(o.Parallelism))

@@ -61,3 +61,21 @@ func TestRenderedOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("output differs between 1 and 8 workers:\n--- 1:\n%s\n--- 8:\n%s", one, eight)
 	}
 }
+
+// TestRunArtefactsWorkerBound pins that concurrent artefacts share the
+// engine's worker bound: the whole campaign, every artefact started at
+// once, builds no more machines than the engine has workers.
+func TestRunArtefactsWorkerBound(t *testing.T) {
+	o := Options{WarmupInstructions: 2_000, MeasureInstructions: 6_000}
+	o.Engine = sweep.New(sweep.Workers(2))
+	if _, err := RunArtefacts(nil, o, Spec{}, AllArtefacts(), false); err != nil {
+		t.Fatal(err)
+	}
+	st := o.Engine.Stats()
+	if st.Ran == 0 {
+		t.Fatal("campaign ran nothing")
+	}
+	if st.FreshBuilds > 2 {
+		t.Errorf("FreshBuilds=%d on a 2-worker engine, want <= 2 (ran %d)", st.FreshBuilds, st.Ran)
+	}
+}

@@ -22,8 +22,9 @@ type Options struct {
 	// WarmupInstructions and MeasureInstructions size each run's windows.
 	WarmupInstructions  uint64
 	MeasureInstructions uint64
-	// Parallelism bounds concurrent simulations when no Engine is supplied
-	// (0 means 1).
+	// Parallelism is the worker count (sweep.Workers; 0 means 1) of the
+	// engine built when no Engine or Job is supplied. A supplied engine
+	// carries its own bound, shared by every artefact and job on it.
 	Parallelism int
 	// Engine, when non-nil, executes every run of every experiment. Sharing
 	// one engine across experiments shares its memoization cache, so

@@ -8,30 +8,20 @@ import (
 	"regexp"
 )
 
-// atomicdiscipline enforces the shared-counter contracts of the sweep
-// engine's hot state (DESIGN.md §14):
-//
-//   - Any variable whose address is ever passed to a sync/atomic function
-//     is an atomic variable, and every other access to it must also go
-//     through sync/atomic. A single plain read or write next to atomic
-//     ones is a data race the race detector only catches when the
-//     interleaving happens to bite; the analyzer catches it statically.
-//     Plain access inside constructor-shaped functions (New*, Open*,
-//     init) is sanctioned: the variable is not yet published.
-//
-//   - A struct carrying a `_ [N]byte` cache-line pad (the engine's
-//     padded hot structs: memo shards, per-worker counter slots, arena
-//     stripes) must keep the pad as its final field and must size to a
-//     multiple of 64 bytes under the gc/amd64 layout, so array
-//     neighbours stay on distinct cache lines. Growing such a struct
-//     without re-sizing the pad silently reintroduces false sharing;
-//     the analyzer makes the pad a checked contract instead of a hope.
+// atomicdiscipline enforces the shared-counter contract (DESIGN.md §14):
+// any variable whose address is ever passed to a sync/atomic function is
+// an atomic variable, and every other access to it must also go through
+// sync/atomic. A single plain read or write next to atomic ones is a data
+// race the race detector only catches when the interleaving happens to
+// bite; the analyzer catches it statically. Plain access inside
+// constructor-shaped functions (New*, Open*, init) is sanctioned: the
+// variable is not yet published.
 type atomicdiscipline struct{}
 
 func (atomicdiscipline) Name() string { return "atomicdiscipline" }
 
 func (atomicdiscipline) Doc() string {
-	return "variables touched via sync/atomic must be accessed atomically everywhere; cache-line-padded structs must stay 64-byte multiples"
+	return "variables touched via sync/atomic must be accessed atomically everywhere"
 }
 
 // atomicInitRe matches constructor-shaped functions where plain access to
@@ -39,22 +29,9 @@ func (atomicdiscipline) Doc() string {
 // before the value is published).
 var atomicInitRe = regexp.MustCompile(`^(New|Open)|^init$`)
 
-// padSizes is the layout the padding contract is checked under. Pinned to
-// gc/amd64 rather than the host so the diagnostic (and the committed pad
-// sizes) are identical on every machine that runs the suite.
-var padSizes = types.SizesFor("gc", "amd64")
-
-func (a atomicdiscipline) Run(prog *Program) []Diagnostic {
-	var diags []Diagnostic
-	diags = append(diags, a.checkMixedAccess(prog)...)
-	diags = append(diags, a.checkPadding(prog)...)
-	sortDiags(diags)
-	return diags
-}
-
-// checkMixedAccess flags plain reads/writes of variables that are
-// elsewhere accessed through sync/atomic.
-func (a atomicdiscipline) checkMixedAccess(prog *Program) []Diagnostic {
+// Run flags plain reads/writes of variables that are elsewhere accessed
+// through sync/atomic.
+func (atomicdiscipline) Run(prog *Program) []Diagnostic {
 	// Pass 1: collect every variable whose address feeds a sync/atomic
 	// call, remembering the first such site (for the message) and the
 	// position of each sanctioned use (the ident under the & argument).
@@ -134,51 +111,7 @@ func (a atomicdiscipline) checkMixedAccess(prog *Program) []Diagnostic {
 			})
 		})
 	}
-	return diags
-}
-
-// checkPadding enforces the `_ [N]byte` cache-line pad contract on every
-// named struct type declared in the program.
-func (a atomicdiscipline) checkPadding(prog *Program) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range prog.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			padIdx := -1
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if f.Name() != "_" {
-					continue
-				}
-				if arr, ok := f.Type().Underlying().(*types.Array); ok {
-					if b, ok := arr.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Uint8 {
-						padIdx = i
-					}
-				}
-			}
-			if padIdx < 0 {
-				continue
-			}
-			pad := st.Field(padIdx)
-			if padIdx != st.NumFields()-1 {
-				diags = append(diags, Diagnostic{"atomicdiscipline", prog.Position(pad.Pos()),
-					fmt.Sprintf("cache-line pad of %s is not the last field; padding only isolates neighbours when it trails the hot fields", name)})
-				continue
-			}
-			if size := padSizes.Sizeof(st); size%64 != 0 {
-				diags = append(diags, Diagnostic{"atomicdiscipline", prog.Position(pad.Pos()),
-					fmt.Sprintf("cache-line-padded struct %s is %d bytes under gc/amd64; resize the _ [N]byte pad so the total is a 64-byte multiple", name, size)})
-			}
-		}
-	}
+	sortDiags(diags)
 	return diags
 }
 

@@ -3,10 +3,7 @@
 // must not) produce. See internal/lint/lint_test.go for the harness.
 package atomicdiscipline
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // counter mixes atomic and plain access to its hits field.
 type counter struct {
@@ -62,35 +59,6 @@ type typed struct {
 func (t *typed) incr()       { t.n.Add(1) }
 func (t *typed) read() int64 { return t.n.Load() }
 
-// shard is padded to exactly one cache line: silent.
-type shard struct {
-	mu sync.Mutex
-	n  int64
-	_  [48]byte
-}
-
-// torn gained a field without re-sizing its pad: no longer a 64-byte
-// multiple.
-type torn struct {
-	mu    sync.Mutex
-	n     int64
-	extra int64
-	_     [48]byte // want `cache-line-padded struct torn is 72 bytes`
-}
-
-// misplaced keeps the right total size but the pad no longer trails the
-// hot fields.
-type misplaced struct {
-	_ [56]byte // want `cache-line pad of misplaced is not the last field`
-	n int64
-}
-
-// unpadded structs are outside the contract: silent.
-type unpadded struct {
-	mu sync.Mutex
-	n  int64
-}
-
 // keep the fixture self-contained: reference everything so the package
 // compiles without unused warnings.
 var (
@@ -102,8 +70,4 @@ var (
 	_ = sloppyTotal
 	_ = (&typed{}).incr
 	_ = (&typed{}).read
-	_ = shard{}
-	_ = torn{}
-	_ = misplaced{}
-	_ = unpadded{}
 )

@@ -3,19 +3,10 @@ package sweep
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 )
-
-// resetArenaPool empties the process pool so tests that pin exact
-// fresh/reuse counts are insulated from arenas parked by earlier tests.
-func resetArenaPool() {
-	for i := range arenaPool.stripes {
-		s := &arenaPool.stripes[i]
-		s.mu.Lock()
-		s.free = nil
-		s.mu.Unlock()
-	}
-}
 
 // seedPoints returns n distinct points (same benchmark/config shape,
 // different workload seeds) — the common campaign grid where arena reuse
@@ -36,10 +27,8 @@ func seedPoints(n int, firstSeed uint64) []Point {
 
 // TestArenaReuseCounted pins the recycle accounting: on one worker, a
 // k-point campaign builds exactly one machine and reuses it k-1 times, and
-// a second campaign on the same engine reuses the parked arena for every
-// point.
+// a second campaign on the same engine reuses that arena for every point.
 func TestArenaReuseCounted(t *testing.T) {
-	resetArenaPool()
 	e := New(Workers(1))
 	if _, err := e.Run(context.Background(), seedPoints(3, 0)); err != nil {
 		t.Fatal(err)
@@ -63,24 +52,48 @@ func TestArenaReuseCounted(t *testing.T) {
 	}
 }
 
-// TestArenaReuseAcrossEngines pins that arenas outlive the engine that
-// built them: a second, freshly constructed engine must inherit the first
-// engine's parked machine from the process pool instead of building its
-// own. This is what keeps per-call engines (one figure, one CLI run) from
-// paying full construction per campaign.
-func TestArenaReuseAcrossEngines(t *testing.T) {
-	resetArenaPool()
-	if _, err := New(Workers(1)).Run(context.Background(), seedPoints(1, 0)); err != nil {
-		t.Fatal(err)
+// TestWorkersBoundConcurrentJobs pins Workers as the engine-wide bound:
+// four jobs running concurrently on a two-worker engine never simulate
+// more than two points at once, so the summed run wall time (each run
+// timed while it holds an arena slot) stays within two walls, and the
+// engine builds at most two machines however many jobs share it.
+func TestWorkersBoundConcurrentJobs(t *testing.T) {
+	const workers, jobs = 2, 4
+	e := New(Workers(workers))
+	round := func(firstSeed uint64) Stats {
+		before := e.Stats()
+		errs := make([]error, jobs)
+		var wg sync.WaitGroup
+		start := time.Now()
+		for i := 0; i < jobs; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, errs[i] = e.NewJob().Run(context.Background(), seedPoints(3, firstSeed+uint64(3*i)))
+			}(i)
+		}
+		wg.Wait()
+		wall := time.Since(start)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("job %d: %v", i, err)
+			}
+		}
+		after := e.Stats()
+		if ran := after.Ran - before.Ran; ran != 3*jobs {
+			t.Fatalf("ran %d points, want %d", ran, 3*jobs)
+		}
+		if busy := after.SimTime - before.SimTime; busy > workers*wall {
+			t.Errorf("summed run time %v exceeds %d x wall %v: more than %d runs overlapped", busy, workers, wall, workers)
+		}
+		return after
 	}
-	e2 := New(Workers(1))
-	if _, err := e2.Run(context.Background(), seedPoints(1, 50)); err != nil {
-		t.Fatal(err)
+	if s := round(0); s.FreshBuilds > workers {
+		t.Fatalf("FreshBuilds=%d after the first round, want <= %d", s.FreshBuilds, workers)
 	}
-	s := e2.Stats()
-	if s.FreshBuilds != 0 || s.ArenaReuses != 1 {
-		t.Fatalf("second engine: FreshBuilds=%d ArenaReuses=%d, want 0/1 (arena inherited from pool)",
-			s.FreshBuilds, s.ArenaReuses)
+	first := e.Stats().FreshBuilds
+	if s := round(100); s.FreshBuilds != first {
+		t.Errorf("second round built %d more machines, want 0", s.FreshBuilds-first)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestCacheBoundConcurrentJobs hammers a tiny bound from several
-// concurrent jobs — the stress case for sharded bounded eviction.
+// concurrent jobs — the stress case for bounded eviction.
 // Pinned properties: every waiter resolves (an evicted in-flight entry
 // would hang its campaign), every job computes correct physics while the
 // bound churns underneath it, the cache settles back under its bound, and
@@ -57,10 +57,11 @@ func TestCacheBoundConcurrentJobs(t *testing.T) {
 	}
 
 	// Deterministic epilogue: two sequential single-point campaigns must
-	// leave the cache holding exactly those two points (FIFO within the
-	// single shard a small bound collapses to), regardless of how the
-	// concurrent phase interleaved.
-	last := seedPoints(10, 0)[8:10]
+	// leave the cache holding exactly those two points (FIFO eviction),
+	// regardless of how the concurrent phase interleaved. The points are
+	// seeds no job ran, so neither can already be cached in an order the
+	// interleaving chose.
+	last := seedPoints(2, 100)
 	for _, p := range last {
 		if _, err := e.Run(context.Background(), []Point{p}); err != nil {
 			t.Fatal(err)

@@ -1,16 +1,19 @@
 // Package sweep is the batch simulation engine behind every campaign: it
-// takes a set of (benchmark × configuration) points, executes them on a
-// bounded worker pool with context cancellation, and memoizes completed
-// runs under a stable configuration hash so points repeated across
-// experiments (for example the shared baselines of Figures 4–7) are
-// simulated exactly once. Results come back in submission order regardless
-// of scheduling, so campaign output is byte-identical for any worker count.
+// takes a set of (benchmark × configuration) points, executes them with at
+// most Workers simulations at once under context cancellation, and
+// memoizes completed runs under a stable configuration hash so points
+// repeated across experiments (for example the shared baselines of
+// Figures 4–7) are simulated exactly once. Results come back in submission
+// order regardless of scheduling, so campaign output is byte-identical for
+// any worker count.
 //
-// Work is scoped in two layers. The Engine owns the shared, contended
-// resources — the worker pool, its reusable machine arenas, the
-// fingerprint-keyed memo cache and the optional checkpoint or ledger — and
-// survives across campaigns. Each worker holds a persistent machine slot,
-// so consecutive memo-missed runs recycle one arena in place
+// Work is scoped in two layers. The Engine owns the shared resources — its
+// machine arenas, the fingerprint-keyed memo cache and the optional
+// checkpoint or ledger — and survives across campaigns. It holds one arena
+// per worker as a slot: a run takes a slot immediately before it simulates
+// and hands it back when the run ends, so every job, RunAll call and
+// artefact on the engine shares one bound of Workers simulations, and
+// consecutive memo-missed runs recycle a slot's machine in place
 // (Machine.Reset) instead of reallocating tens of megabytes of simulator
 // state per point. A Job (NewJob) is one campaign's view of the engine: it
 // carries its own progress callback and its own Stats, so two jobs running
@@ -18,16 +21,9 @@
 // other's counters. RunAll is the primitive (every point's individual
 // outcome, in submission order); Run and RunMap are thin wrappers over it.
 //
-// The shared state is engineered to scale with worker count. The memo
-// cache is lock-striped into power-of-two shards keyed by the run
-// fingerprint, so concurrent campaigns contend per shard, not on one
-// global mutex; eviction under CacheBound stays deterministic FIFO within
-// each shard. The per-run hot counters (runs, simulation time, arena
-// reuse) live in padded per-worker slots that are only summed when Stats
-// is called, so workers never bounce a shared cache line, and run items
-// are claimed from an atomic cursor instead of a channel, so one worker
-// can burn through a contiguous span of points with its arena hot in
-// cache.
+// One mutex, Engine.mu, guards the memo cache and every counter. A run
+// lasts milliseconds and takes it a handful of times, so it is not a
+// contention point at any worker count the engine serves.
 package sweep
 
 import (
@@ -37,7 +33,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/failpoint"
@@ -77,13 +72,12 @@ type Stats struct {
 	// Failed counts points that genuinely failed (cancellations are not
 	// failures); Retried counts extra attempts spent on transient failures.
 	Failed, Retried int
-	// ArenaReuses counts executed simulations that recycled a worker's
-	// machine arena in place (Machine.ResetBench); FreshBuilds counts the
+	// ArenaReuses counts run attempts that recycled one of the engine's
+	// machine arenas in place (Machine.ResetBench); FreshBuilds counts the
 	// ones that had to construct a machine. ArenaReuses + FreshBuilds is the
 	// number of run attempts (Ran plus retries).
 	ArenaReuses, FreshBuilds int
-	// Evicted counts memo-cache entries dropped by the CacheBound policy
-	// (summed across shards).
+	// Evicted counts memo-cache entries dropped by the CacheBound policy.
 	Evicted int
 	// SimTime is the summed wall time of executed simulations; WorstRun is
 	// the longest single simulation and WorstKey its point key.
@@ -102,8 +96,8 @@ func (s Stats) RunsPerSec() float64 {
 	return float64(s.Ran) / s.SimTime.Seconds()
 }
 
-// ReuseRate returns the fraction of run attempts that recycled a worker
-// arena instead of constructing a machine (0 when nothing has run).
+// ReuseRate returns the fraction of run attempts that recycled an arena
+// instead of constructing a machine (0 when nothing has run).
 func (s Stats) ReuseRate() float64 {
 	attempts := s.ArenaReuses + s.FreshBuilds
 	if attempts == 0 {
@@ -130,7 +124,9 @@ type Progress struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// Workers bounds concurrent simulations (minimum 1). The default is
+// Workers bounds the engine's concurrent simulations (minimum 1) across
+// every job and RunAll call on it: the engine holds n machine arenas, and a
+// run simulates only while it holds one. The default is
 // runtime.GOMAXPROCS(0).
 func Workers(n int) Option {
 	if n < 1 {
@@ -198,15 +194,12 @@ func WithLedger(l *Ledger) Option {
 }
 
 // CacheBound bounds the memo cache to at most n entries. When an insertion
-// would exceed a shard's share of the bound, that shard's oldest-inserted
-// completed entries are evicted first — deterministic FIFO per shard, so a
-// campaign replayed against a bounded engine hits and misses identically
-// every time. In-flight entries are never evicted (waiters hold their done
-// channels), so the cache may transiently exceed n while more than n runs
-// are in flight. Zero or negative n (the default) leaves the cache
-// unbounded. Small bounds use a single shard, so the historical global
-// FIFO order is preserved exactly; sharding begins once every shard can
-// hold at least a few entries.
+// would exceed the bound, the oldest-inserted completed entries are
+// evicted first — deterministic FIFO, so a campaign replayed against a
+// bounded engine hits and misses identically every time. In-flight entries
+// are never evicted (waiters hold their done channels), so the cache may
+// transiently exceed n while more than n runs are in flight. Zero or
+// negative n (the default) leaves the cache unbounded.
 func CacheBound(n int) Option {
 	if n < 0 {
 		n = 0
@@ -241,252 +234,18 @@ type cacheRecord struct {
 	en *entry
 }
 
-// maxCacheShards bounds the lock striping of the memo cache. Shard count
-// is always a power of two so the fingerprint maps to a shard with a mask.
-const maxCacheShards = 16
-
-// cacheShard is one lock stripe of the memo cache: its own map, its own
-// FIFO insertion order and its own slice of the engine's CacheBound.
-// Everything under sh.mu.
-type cacheShard struct {
-	// mu is held for map/slice bookkeeping only — never across I/O or a
-	// channel. //vsv:hotlock
-	mu      sync.Mutex
-	cache   map[string]*entry
-	order   []cacheRecord // insertion order, for bound eviction
-	bound   int           // this shard's share of the engine bound (0 = unbounded)
-	evicted int
-	// pad keeps neighbouring shards off one cache line so shard locks do
-	// not false-share (fields above are 56 bytes; 56+72 = 128).
-	_ [72]byte
-}
-
-// addLocked inserts an entry under the shard's bound policy. Caller holds
-// sh.mu.
-func (sh *cacheShard) addLocked(fp string, en *entry) {
-	sh.cache[fp] = en
-	if sh.bound > 0 {
-		sh.order = append(sh.order, cacheRecord{fp: fp, en: en})
-		sh.evictLocked()
-	}
-}
-
-// evictLocked enforces the shard's bound: while the shard is over it, the
-// oldest-inserted resolved entries are dropped, skipping (and preserving
-// the relative order of) in-flight ones. Stale records — fingerprints
-// already uncached by a failure, or re-inserted under a newer entry — are
-// compacted away as they are encountered. Caller holds sh.mu.
-func (sh *cacheShard) evictLocked() {
-	if sh.bound <= 0 || len(sh.cache) <= sh.bound {
-		return
-	}
-	kept := sh.order[:0]
-	for i, rec := range sh.order {
-		if len(sh.cache) <= sh.bound {
-			kept = append(kept, sh.order[i:]...)
-			break
-		}
-		if cur, ok := sh.cache[rec.fp]; !ok || cur != rec.en {
-			continue // stale record; nothing to evict
-		}
-		if !rec.en.resolved() {
-			kept = append(kept, rec) // never evict an in-flight run
-			continue
-		}
-		delete(sh.cache, rec.fp)
-		sh.evicted++
-	}
-	sh.order = kept
-}
-
-// shardCount picks the cache's stripe width. Unbounded caches stripe to
-// the maximum. Bounded caches stripe only as far as keeps at least four
-// entries per shard — and a small bound therefore collapses to one shard,
-// preserving the exact historical global-FIFO eviction order that the
-// bound semantics were specified (and tested) under.
-func shardCount(bound int) int {
-	if bound <= 0 {
-		return maxCacheShards
-	}
-	n := 1
-	for n*2 <= bound/4 && n*2 <= maxCacheShards {
-		n *= 2
-	}
-	return n
-}
-
-// shardIndex maps a fingerprint (lowercase hex, as produced by
-// Point.Fingerprint) to its shard: the first fingerprint byte masked by
-// the power-of-two shard count. SHA-256 output is uniform, so shards load
-// evenly; the mapping is pure, so every process sharding the same
-// fingerprint space agrees on shard ownership.
-func shardIndex(fp string, n int) int {
-	if n <= 1 || len(fp) < 2 {
-		return 0
-	}
-	return int(hexVal(fp[0])<<4|hexVal(fp[1])) & (n - 1)
-}
-
-// ShardOwner partitions the fingerprint space across n cooperating
-// processes (not necessarily a power of two): the peer index that owns the
-// fingerprint. Every process given the same n computes the same owner, so
-// a sharded deployment routes a point to one home deterministically. The
-// cache's internal shardIndex and ShardOwner both key off the fingerprint's
-// leading byte, so a peer's local cache shards stay evenly loaded under
-// peer-sliced traffic.
-func ShardOwner(fp string, n int) int {
-	if n <= 1 || len(fp) < 2 {
-		return 0
-	}
-	return int(hexVal(fp[0])<<4|hexVal(fp[1])) % n
-}
-
-func hexVal(c byte) uint {
-	switch {
-	case c >= '0' && c <= '9':
-		return uint(c - '0')
-	case c >= 'a' && c <= 'f':
-		return uint(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return uint(c-'A') + 10
-	}
-	return 0
-}
-
-// hotSlot is one worker's private share of the engine's hot counters,
-// padded so neighbouring workers' slots never share a cache line. Workers
-// add to their own slot with uncontended atomics; Stats sums the slots.
-// Two campaigns running concurrently on one job may share a slot index,
-// so the adds stay atomic rather than plain stores.
-type hotSlot struct {
-	ran         atomic.Int64
-	simTimeNS   atomic.Int64
-	arenaReuses atomic.Int64
-	freshBuilds atomic.Int64
-	_           [96]byte
-}
-
-// addInto folds the slot into a Stats aggregate.
-func (h *hotSlot) addInto(s *Stats) {
-	s.Ran += int(h.ran.Load())
-	s.SimTime += time.Duration(h.simTimeNS.Load())
-	s.ArenaReuses += int(h.arenaReuses.Load())
-	s.FreshBuilds += int(h.freshBuilds.Load())
-}
-
-// worstTracker tracks the slowest run and its key. The fast path is one
-// atomic load (almost always "not a new worst"); the mutex is taken only
-// to install a new maximum.
-type worstTracker struct {
-	ns atomic.Int64
-	// mu is taken only to install a new maximum. //vsv:hotlock
-	mu  sync.Mutex
-	key string
-}
-
-func (w *worstTracker) note(d time.Duration, key string) {
-	if d.Nanoseconds() <= w.ns.Load() {
-		return
-	}
-	w.mu.Lock()
-	if d.Nanoseconds() > w.ns.Load() {
-		w.ns.Store(d.Nanoseconds())
-		w.key = key
-	}
-	w.mu.Unlock()
-}
-
-func (w *worstTracker) get() (time.Duration, string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return time.Duration(w.ns.Load()), w.key
-}
-
-// arena is a worker's persistent machine slot: one reusable simulation
-// arena (caches, MSHRs, pipeline, recorder buffers, pooled transactions)
-// that consecutive memo-missed runs reset in place instead of
-// reallocating. An arena belongs to exactly one worker goroutine at a
-// time; between campaigns it parks in the process-wide pool.
+// arena is one of the engine's machine slots: a reusable simulation arena
+// (caches, MSHRs, pipeline, recorder buffers, pooled transactions) that
+// consecutive memo-missed runs reset in place instead of reallocating. A
+// run owns the arena it took from Engine.slots until it sends it back.
 type arena struct {
 	m *sim.Machine
 }
 
-// arenaPool recycles machine arenas across engines, not just campaigns:
-// Machine.Reset is geometry-aware and bit-identical to fresh construction
-// under any configuration, so an arena is config-agnostic and a short-lived
-// engine (one figure, one CLI invocation, one test) can inherit the
-// machines a previous engine built. A plain bounded free list rather than
-// sync.Pool: pooled machines must survive GC cycles (a cleared pool would
-// silently reintroduce full construction cost mid-campaign), and the cap
-// bounds pinned simulation memory to one arena per plausible worker. The
-// list is striped by worker index so concurrent campaign starts and ends
-// do not serialize on one mutex; a worker prefers its own stripe (the
-// arena it parked last time, still warm) and steals from neighbours only
-// when its stripe is empty.
-var arenaPool = newArenaFreeList()
-
-// arenaStripes is the free list's stripe count (power of two).
-const arenaStripes = 8
-
-type arenaStripe struct {
-	// mu guards the free list only. //vsv:hotlock
-	mu   sync.Mutex
-	free []*arena
-	// fields above are 32 bytes; 32+32 = 64 keeps stripes one line apart.
-	_ [32]byte
-}
-
-type arenaFreeList struct {
-	stripes [arenaStripes]arenaStripe
-	perCap  int // bound per stripe, so total pinned memory stays bounded
-}
-
-func newArenaFreeList() *arenaFreeList {
-	c := runtime.GOMAXPROCS(0)
-	// Engines may run more workers than cores (the oversubscribed regime
-	// still overlaps memory stalls), so keep a sensible floor.
-	if c < 16 {
-		c = 16
-	}
-	return &arenaFreeList{perCap: (c + arenaStripes - 1) / arenaStripes}
-}
-
-func (p *arenaFreeList) get(w int) *arena {
-	idx := w & (arenaStripes - 1)
-	for i := 0; i < arenaStripes; i++ {
-		s := &p.stripes[(idx+i)&(arenaStripes-1)]
-		s.mu.Lock()
-		if n := len(s.free); n > 0 {
-			a := s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-			s.mu.Unlock()
-			return a
-		}
-		s.mu.Unlock()
-	}
-	return &arena{}
-}
-
-func (p *arenaFreeList) put(w int, a *arena) {
-	idx := w & (arenaStripes - 1)
-	for i := 0; i < arenaStripes; i++ {
-		s := &p.stripes[(idx+i)&(arenaStripes-1)]
-		s.mu.Lock()
-		if len(s.free) < p.perCap {
-			s.free = append(s.free, a)
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-	}
-	// Every stripe is at capacity: drop the arena; the GC reclaims it.
-}
-
-// Engine executes sweep points with bounded parallelism and a memoization
-// cache that persists across campaigns. An Engine is safe for concurrent
-// use; concurrent campaigns share its cache (duplicate in-flight points are
-// joined, not re-run).
+// Engine executes sweep points with at most Workers simulations at once
+// and a memoization cache that persists across campaigns. An Engine is
+// safe for concurrent use; concurrent campaigns share its cache (duplicate
+// in-flight points are joined, not re-run) and its worker bound.
 type Engine struct {
 	workers    int
 	progress   func(Progress)
@@ -499,16 +258,17 @@ type Engine struct {
 	cp         *Checkpoint
 	led        *Ledger
 
-	// shards is the lock-striped memo cache (power-of-two length).
-	shards []cacheShard
-	// hot is the per-worker counter block; worker w owns hot[w].
-	hot   []hotSlot
-	worst worstTracker
+	// slots holds the engine's arenas, one per worker. A run receives one
+	// immediately before it simulates and sends it back when the run ends,
+	// so the channel is the engine-wide bound on concurrent simulations.
+	slots chan *arena
 
-	// mu guards the cold counters in stats (planning-path hits, failures,
-	// retries) and every job's cold counters; the hot per-run counters
-	// live in the padded slots above. //vsv:hotlock
+	// mu guards the memo cache and the counters of the engine and of every
+	// job. It is held for map, slice and counter bookkeeping only — never
+	// across I/O or a blocking channel operation. //vsv:hotlock
 	mu    sync.Mutex
+	cache map[string]*entry
+	order []cacheRecord // insertion order, for bound eviction
 	stats Stats
 }
 
@@ -517,100 +277,87 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		workers: runtime.GOMAXPROCS(0),
 		backoff: 50 * time.Millisecond,
+		cache:   make(map[string]*entry),
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	n := shardCount(e.cacheBound)
-	e.shards = make([]cacheShard, n)
-	for i := range e.shards {
-		e.shards[i].cache = make(map[string]*entry)
-		if e.cacheBound > 0 {
-			// Split the bound evenly; the first bound%n shards absorb the
-			// remainder so the shard bounds sum exactly to the engine bound.
-			e.shards[i].bound = e.cacheBound / n
-			if i < e.cacheBound%n {
-				e.shards[i].bound++
-			}
-		}
+	// Arenas start empty and build their machine on first use, so an
+	// engine constructs at most workers machines in its life; they are
+	// garbage-collected with it.
+	e.slots = make(chan *arena, e.workers)
+	for i := 0; i < e.workers; i++ {
+		e.slots <- &arena{}
 	}
-	e.hot = make([]hotSlot, e.workers)
 	return e
 }
 
-// shard returns the cache shard owning the fingerprint.
-func (e *Engine) shard(fp string) *cacheShard {
-	return &e.shards[shardIndex(fp, len(e.shards))]
+// acquire waits for a free arena slot. A wait cut short by the context
+// returns its error, which fails the waiting item as a cancellation.
+func (e *Engine) acquire(ctx context.Context) (*arena, error) {
+	select {
+	case a := <-e.slots:
+		return a, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// addLocked inserts an entry under the bound policy. Caller holds e.mu.
+func (e *Engine) addLocked(fp string, en *entry) {
+	e.cache[fp] = en
+	if e.cacheBound > 0 {
+		e.order = append(e.order, cacheRecord{fp: fp, en: en})
+		e.evictLocked()
+	}
+}
+
+// evictLocked enforces the bound: while the cache is over it, the
+// oldest-inserted resolved entries are dropped, skipping (and preserving
+// the relative order of) in-flight ones. Stale records — fingerprints
+// already uncached by a failure, or re-inserted under a newer entry — are
+// compacted away as they are encountered. Caller holds e.mu.
+func (e *Engine) evictLocked() {
+	if e.cacheBound <= 0 || len(e.cache) <= e.cacheBound {
+		return
+	}
+	kept := e.order[:0]
+	for i, rec := range e.order {
+		if len(e.cache) <= e.cacheBound {
+			kept = append(kept, e.order[i:]...)
+			break
+		}
+		if cur, ok := e.cache[rec.fp]; !ok || cur != rec.en {
+			continue // stale record; nothing to evict
+		}
+		if !rec.en.resolved() {
+			kept = append(kept, rec) // never evict an in-flight run
+			continue
+		}
+		delete(e.cache, rec.fp)
+		e.stats.Evicted++
+	}
+	e.order = kept
 }
 
 // Stats returns a snapshot of the engine's lifetime counters (every job's
 // counters summed).
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	s := e.stats
-	e.mu.Unlock()
-	for i := range e.hot {
-		e.hot[i].addInto(&s)
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		s.Evicted += sh.evicted
-		sh.mu.Unlock()
-	}
-	s.WorstRun, s.WorstKey = e.worst.get()
-	return s
+	defer e.mu.Unlock()
+	return e.stats
 }
 
 // CacheLen returns how many fingerprints the memo cache currently holds
-// (completed or in flight), summed across shards.
+// (completed or in flight).
 func (e *Engine) CacheLen() int {
-	n := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		n += len(sh.cache)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// CacheShards returns the memo cache's shard count.
-func (e *Engine) CacheShards() int { return len(e.shards) }
-
-// ShardLens returns each shard's current entry count, in shard order.
-func (e *Engine) ShardLens() []int {
-	out := make([]int, len(e.shards))
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		out[i] = len(sh.cache)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// acquireArena hands a worker its machine slot, recycling a parked arena
-// when one is available. Each worker holds exactly one arena for the span
-// of a campaign, so an engine never pins more than one arena's simulation
-// memory per configured worker.
-func (e *Engine) acquireArena(w int) *arena {
-	return arenaPool.get(w)
-}
-
-// releaseArena parks a worker's arena in the process-wide pool for the
-// next campaign — on this engine or any other. Arenas whose machine was
-// dropped (unstructured panic, failed reset) are not parked; the next
-// acquirer builds fresh.
-func (e *Engine) releaseArena(w int, a *arena) {
-	if a.m == nil {
-		return
-	}
-	arenaPool.put(w, a)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.cache)
 }
 
 // Job is one campaign's scoped view of an engine: it shares the engine's
-// worker pool, memo cache and checkpoint, but owns its progress callback,
+// arena slots, memo cache and checkpoint, but owns its progress callback,
 // its Stats and its run budget, so concurrent jobs on one engine do not
 // interleave counters or callbacks. The zero value is not usable; call
 // Engine.NewJob. A Job is safe for concurrent use (a job running several
@@ -620,12 +367,9 @@ type Job struct {
 	progress  func(Progress)
 	maxPoints int
 
-	// stats holds the job's cold counters, guarded by e.mu (updated on the
-	// same paths, under the same critical sections, as the engine's); the
-	// hot per-run counters live in the job's own per-worker slots.
+	// stats holds the job's counters, guarded by e.mu and updated in the
+	// same critical sections as the engine's (see tally).
 	stats Stats
-	hot   []hotSlot
-	worst worstTracker
 }
 
 // JobOption configures a Job.
@@ -651,7 +395,7 @@ func MaxPoints(n int) JobOption {
 // NewJob returns a job-scoped handle on the engine. Jobs inherit the
 // engine's default progress callback unless JobProgress overrides it.
 func (e *Engine) NewJob(opts ...JobOption) *Job {
-	j := &Job{e: e, progress: e.progress, hot: make([]hotSlot, e.workers)}
+	j := &Job{e: e, progress: e.progress}
 	for _, o := range opts {
 		o(j)
 	}
@@ -661,13 +405,17 @@ func (e *Engine) NewJob(opts ...JobOption) *Job {
 // Stats returns a snapshot of the job's counters.
 func (j *Job) Stats() Stats {
 	j.e.mu.Lock()
-	s := j.stats
+	defer j.e.mu.Unlock()
+	return j.stats
+}
+
+// tally applies one counter update to the engine's and the job's Stats in
+// a single critical section.
+func (j *Job) tally(add func(*Stats)) {
+	j.e.mu.Lock()
+	add(&j.e.stats)
+	add(&j.stats)
 	j.e.mu.Unlock()
-	for i := range j.hot {
-		j.hot[i].addInto(&s)
-	}
-	s.WorstRun, s.WorstKey = j.worst.get()
-	return s
 }
 
 // runItem is one simulation scheduled by a RunAll call.
@@ -769,7 +517,7 @@ func (e *Engine) RunMap(ctx context.Context, points []Point) (map[string]sim.Res
 
 // plan maps each point to its cache entry, creating entries for the runs
 // this call owns. It walks the points in submission order, so hit
-// accounting and per-shard insertion order are deterministic for any
+// accounting and cache insertion order are deterministic for any
 // worker count (concurrent planners walking the same point sequence
 // insert each fingerprint exactly once, in sequence position order).
 func (j *Job) plan(points []Point, waiters []*entry) (toRun []runItem, hits int, err error) {
@@ -783,14 +531,11 @@ func (j *Job) plan(points []Point, waiters []*entry) (toRun []runItem, hits int,
 		if cacheHits == 0 && cpHits == 0 && ledHits == 0 {
 			return
 		}
-		e.mu.Lock()
-		e.stats.CacheHits += cacheHits
-		j.stats.CacheHits += cacheHits
-		e.stats.CheckpointHits += cpHits
-		j.stats.CheckpointHits += cpHits
-		e.stats.LedgerHits += ledHits
-		j.stats.LedgerHits += ledHits
-		e.mu.Unlock()
+		j.tally(func(s *Stats) {
+			s.CacheHits += cacheHits
+			s.CheckpointHits += cpHits
+			s.LedgerHits += ledHits
+		})
 	}()
 	for i, p := range points {
 		var fp string
@@ -829,25 +574,24 @@ func (j *Job) plan(points []Point, waiters []*entry) (toRun []runItem, hits int,
 			toRun = append(toRun, runItem{fp: fp, p: p, en: en})
 			continue
 		}
-		sh := e.shard(fp)
-		sh.mu.Lock()
-		if en, ok := sh.cache[fp]; ok {
-			sh.mu.Unlock()
+		e.mu.Lock()
+		if en, ok := e.cache[fp]; ok {
+			e.mu.Unlock()
 			cacheHits++
 			hits++
 			waiters[i] = en
 			continue
 		}
 		if en, ok := warm(); ok {
-			sh.addLocked(fp, en)
-			sh.mu.Unlock()
+			e.addLocked(fp, en)
+			e.mu.Unlock()
 			hits++
 			waiters[i] = en
 			continue
 		}
 		en := &entry{done: make(chan struct{})}
-		sh.addLocked(fp, en)
-		sh.mu.Unlock()
+		e.addLocked(fp, en)
+		e.mu.Unlock()
 		waiters[i] = en
 		toRun = append(toRun, runItem{fp: fp, p: p, en: en})
 	}
@@ -860,8 +604,8 @@ func resolvedEntry(res sim.Results) *entry {
 	return en
 }
 
-// execute plans the campaign and fans it out over the worker pool,
-// returning each point's entry (resolved or in flight).
+// execute plans the campaign and fans its runs out over the engine's arena
+// slots, returning each point's entry (resolved or in flight).
 func (j *Job) execute(ctx context.Context, points []Point) ([]*entry, error) {
 	e := j.e
 	e.mu.Lock()
@@ -902,153 +646,141 @@ func (j *Job) execute(ctx context.Context, points []Point) ([]*entry, error) {
 	start := time.Now()
 	done := 0
 	var progMu sync.Mutex
-	note := func(it runItem, dur time.Duration, executed bool, ehs, jhs *hotSlot) {
+	note := func(it runItem, dur time.Duration, executed bool) {
 		if executed {
-			if e.cacheBound > 0 && !e.noCache {
-				// The entry just resolved; entries inserted in-flight become
-				// evictable only now, so re-enforce the owning shard's bound.
-				sh := e.shard(it.fp)
-				sh.mu.Lock()
-				sh.evictLocked()
-				sh.mu.Unlock()
-			}
-			ehs.ran.Add(1)
-			ehs.simTimeNS.Add(dur.Nanoseconds())
-			jhs.ran.Add(1)
-			jhs.simTimeNS.Add(dur.Nanoseconds())
-			e.worst.note(dur, it.p.Key)
-			j.worst.note(dur, it.p.Key)
+			e.mu.Lock()
+			// The entry just resolved; entries inserted in flight become
+			// evictable only now, so re-enforce the bound.
+			e.evictLocked()
+			e.stats.addRun(it.p.Key, dur)
+			j.stats.addRun(it.p.Key, dur)
+			e.mu.Unlock()
 		}
 		if j.progress == nil {
 			return
 		}
-		worst, worstKey := j.worst.get()
+		st := j.Stats()
 		progMu.Lock()
 		done++
-		p := Progress{
+		j.progress(Progress{
 			Done:       hits + done,
 			Total:      len(points),
 			CacheHits:  hits,
 			SimsPerSec: float64(done) / time.Since(start).Seconds(),
-			WorstRun:   worst,
-			WorstKey:   worstKey,
-		}
-		j.progress(p)
+			WorstRun:   st.WorstRun,
+			WorstKey:   st.WorstKey,
+		})
 		progMu.Unlock()
 	}
 
-	// Fan the owned runs out over the worker pool. Items are claimed from
-	// an atomic cursor rather than a channel: a worker that keeps getting
-	// scheduled burns through a contiguous span of points with its arena
-	// hot in cache, and nothing blocks on a rendezvous. Workers drain the
-	// whole range even after cancellation, failing (and uncaching) the
-	// items they skip, so every entry's done channel is guaranteed to
-	// close.
-	workers := e.workers
-	if workers > len(toRun) {
-		workers = len(toRun)
-	}
-	// deferred holds items another process's live ledger claim pushed past:
-	// a worker skips ahead to unclaimed work first and comes back to wait on
-	// (or steal) the stragglers only once the cursor is drained, so K
-	// processes stream through disjoint spans instead of convoying on each
-	// other's claims.
-	var defMu sync.Mutex
+	// Up to e.workers goroutines take the owned runs from a cursor in
+	// submission order; each holds an arena slot only while it simulates,
+	// so every call on the engine shares the one bound. Items another
+	// process's live ledger claim pushed past are deferred: they are taken
+	// only once the cursor is drained, this time waiting the claim out (or
+	// stealing it on expiry), so K processes stream through disjoint spans
+	// instead of convoying on each other's claims. The goroutines drain
+	// every item even after cancellation, failing (and uncaching) the ones
+	// they skip, so every entry's done channel is guaranteed to close.
+	var curMu sync.Mutex // guards next and deferred
+	next := 0
 	var deferred []runItem
-	var next atomic.Int64
+	take := func() (it runItem, block, ok bool) {
+		curMu.Lock()
+		defer curMu.Unlock()
+		if next < len(toRun) {
+			next++
+			return toRun[next-1], false, true
+		}
+		if n := len(deferred); n > 0 {
+			it = deferred[n-1]
+			deferred = deferred[:n-1]
+			return it, true, true
+		}
+		return runItem{}, false, false
+	}
+	// runItemFull resolves one item end to end. With block=false a live
+	// foreign ledger claim defers the item instead of waiting.
+	runItemFull := func(it runItem, block bool) {
+		if runCtx.Err() != nil {
+			j.fail(it, runCtx.Err(), false)
+			return
+		}
+		var res sim.Results
+		var dur time.Duration
+		var executed bool
+		var err error
+		if e.led != nil {
+			var wait bool
+			res, dur, executed, wait, err = j.runLedgerItem(runCtx, it, block)
+			if wait {
+				curMu.Lock()
+				deferred = append(deferred, it)
+				curMu.Unlock()
+				return
+			}
+		} else {
+			res, dur, err = j.runSlot(runCtx, it)
+			executed = true
+		}
+		if err != nil {
+			genuine := !isCancel(err)
+			j.fail(it, err, genuine)
+			if genuine && !e.keepGoing {
+				cancelRun()
+			}
+			return
+		}
+		if e.cp != nil && executed {
+			if cerr := e.cp.add(it.fp, it.p.Key, res); cerr != nil {
+				// A result that cannot be checkpointed breaks the resume
+				// guarantee; fail the point rather than silently degrade.
+				j.fail(it, fmt.Errorf("sweep: checkpoint write: %w", cerr), true)
+				if !e.keepGoing {
+					cancelRun()
+				}
+				return
+			}
+		}
+		it.en.res = res
+		close(it.en.done)
+		note(it, dur, executed)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(e.workers, len(toRun)); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			ehs, jhs := &e.hot[w], &j.hot[w]
-			// Each worker holds one persistent machine slot for its
-			// lifetime, acquired lazily on its first real run: consecutive
-			// memo-missed runs reset the same arena in place. Between
-			// campaigns the arena parks in the process pool, so reuse
-			// carries across RunAll calls too.
-			var a *arena
-			defer func() {
-				if a != nil {
-					e.releaseArena(w, a)
-				}
-			}()
-			// runItemFull resolves one item end to end. With block=false a
-			// live foreign ledger claim defers the item instead of waiting.
-			runItemFull := func(it runItem, block bool) {
-				if runCtx.Err() != nil {
-					j.fail(it, runCtx.Err(), false)
-					return
-				}
-				var res sim.Results
-				var dur time.Duration
-				var executed bool
-				var err error
-				if e.led != nil {
-					var wait bool
-					res, dur, executed, wait, err = j.runLedgerItem(runCtx, it, &a, w, ehs, jhs, block)
-					if wait {
-						defMu.Lock()
-						deferred = append(deferred, it)
-						defMu.Unlock()
-						return
-					}
-				} else {
-					if a == nil {
-						a = e.acquireArena(w)
-					}
-					t0 := time.Now()
-					res, err = j.runPoint(runCtx, it, a, ehs, jhs)
-					dur, executed = time.Since(t0), true
-				}
-				if err != nil {
-					genuine := !isCancel(err)
-					j.fail(it, err, genuine)
-					if genuine && !e.keepGoing {
-						cancelRun()
-					}
-					return
-				}
-				if e.cp != nil && executed {
-					if cerr := e.cp.add(it.fp, it.p.Key, res); cerr != nil {
-						// A result that cannot be checkpointed breaks the
-						// resume guarantee; fail the point rather than
-						// silently degrade.
-						j.fail(it, fmt.Errorf("sweep: checkpoint write: %w", cerr), true)
-						if !e.keepGoing {
-							cancelRun()
-						}
-						return
-					}
-				}
-				it.en.res = res
-				close(it.en.done)
-				note(it, dur, executed, ehs, jhs)
+			for it, block, ok := take(); ok; it, block, ok = take() {
+				runItemFull(it, block)
 			}
-			for {
-				n := next.Add(1) - 1
-				if n >= int64(len(toRun)) {
-					break
-				}
-				runItemFull(toRun[n], false)
-			}
-			// Cursor drained: pick up the items parked behind foreign
-			// claims, this time waiting them out (or stealing on expiry).
-			for {
-				defMu.Lock()
-				if len(deferred) == 0 {
-					defMu.Unlock()
-					return
-				}
-				it := deferred[len(deferred)-1]
-				deferred = deferred[:len(deferred)-1]
-				defMu.Unlock()
-				runItemFull(it, true)
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return waiters, nil
+}
+
+// addRun counts one executed simulation of wall time dur.
+func (s *Stats) addRun(key string, dur time.Duration) {
+	s.Ran++
+	s.SimTime += dur
+	if dur > s.WorstRun {
+		s.WorstRun, s.WorstKey = dur, key
+	}
+}
+
+// runSlot executes one item on an arena slot, waiting for a free one
+// first, and returns the run's wall time measured while holding the slot.
+func (j *Job) runSlot(ctx context.Context, it runItem) (sim.Results, time.Duration, error) {
+	a, err := j.e.acquire(ctx)
+	if err != nil {
+		return sim.Results{}, 0, err
+	}
+	t0 := time.Now()
+	res, err := j.runPoint(ctx, it, a)
+	dur := time.Since(t0)
+	j.e.slots <- a
+	return res, dur, err
 }
 
 // runLedgerItem resolves one item through the work-stealing ledger: a
@@ -1058,15 +790,17 @@ func (j *Job) execute(ctx context.Context, points []Point) ([]*entry, error) {
 // polling until it completes or its claim expires and can be stolen — when
 // block is set; otherwise it is handed back (wait=true) so the caller can
 // defer it and move on to unclaimed work.
-func (j *Job) runLedgerItem(ctx context.Context, it runItem, ap **arena, w int, ehs, jhs *hotSlot, block bool) (res sim.Results, dur time.Duration, executed bool, wait bool, err error) {
+//
+// The arena slot is taken before the claim and given back before any
+// deferral or poll, and a won claim keeps it until the point is completed
+// into the ledger: a process never holds more live claims than it has
+// workers, and never sits on a slot while it waits for another process.
+func (j *Job) runLedgerItem(ctx context.Context, it runItem, block bool) (res sim.Results, dur time.Duration, executed bool, wait bool, err error) {
 	e := j.e
 	led := e.led
 	for {
 		if r, ok := led.Lookup(it.fp); ok {
-			e.mu.Lock()
-			e.stats.LedgerHits++
-			j.stats.LedgerHits++
-			e.mu.Unlock()
+			j.tally(func(s *Stats) { s.LedgerHits++ })
 			return r, 0, false, false, nil
 		}
 		if reason, ok := led.PoisonReason(it.fp); ok {
@@ -1075,37 +809,36 @@ func (j *Job) runLedgerItem(ctx context.Context, it runItem, ap **arena, w int, 
 			return sim.Results{}, 0, false, false,
 				&PoisonedError{Key: it.p.Key, Fingerprint: it.fp, Reason: reason}
 		}
-		won, stole, cerr := led.TryClaim(it.fp, it.p.Key)
-		if cerr != nil {
-			return sim.Results{}, 0, false, false, fmt.Errorf("sweep: ledger claim: %w", cerr)
+		a, aerr := e.acquire(ctx)
+		if aerr != nil {
+			return sim.Results{}, 0, false, false, aerr
 		}
+		won, stole, cerr := led.TryClaim(it.fp, it.p.Key)
 		if won {
 			if stole {
-				e.mu.Lock()
-				e.stats.Steals++
-				j.stats.Steals++
-				e.mu.Unlock()
+				j.tally(func(s *Stats) { s.Steals++ })
 			}
 			// Chaos hook: a crash schedule keyed to this point kills the
 			// process here — after the claim, before the run — modeling a
 			// poisoned input. No-op (one atomic load) unless armed.
 			failpoint.CrashIf(FPLedgerClaimed, it.p.Key)
-			if *ap == nil {
-				*ap = e.acquireArena(w)
-			}
 			t0 := time.Now()
-			r, rerr := j.runPoint(ctx, it, *ap, ehs, jhs)
+			res, err = j.runPoint(ctx, it, a)
 			dur = time.Since(t0)
-			if rerr != nil {
-				// The claim is left to expire; another worker will steal
-				// and re-attempt the point (and, for deterministic
-				// failures, reach the same verdict independently).
-				return sim.Results{}, dur, true, false, rerr
+			// A failed run's claim is left to expire; another worker will
+			// steal and re-attempt the point (and, for deterministic
+			// failures, reach the same verdict independently).
+			if err == nil {
+				if werr := led.Complete(it.fp, it.p.Key, res); werr != nil {
+					err = fmt.Errorf("sweep: ledger write: %w", werr)
+				}
 			}
-			if werr := led.Complete(it.fp, it.p.Key, r); werr != nil {
-				return sim.Results{}, dur, true, false, fmt.Errorf("sweep: ledger write: %w", werr)
-			}
-			return r, dur, true, false, nil
+			e.slots <- a
+			return res, dur, true, false, err
+		}
+		e.slots <- a
+		if cerr != nil {
+			return sim.Results{}, 0, false, false, fmt.Errorf("sweep: ledger claim: %w", cerr)
 		}
 		if !block {
 			return sim.Results{}, 0, false, true, nil
@@ -1121,13 +854,20 @@ func (j *Job) runLedgerItem(ctx context.Context, it runItem, ap **arena, w int, 
 }
 
 // runPoint executes one point with panic isolation, the per-run deadline,
-// and bounded retry of transient failures, on the worker's arena.
-func (j *Job) runPoint(ctx context.Context, it runItem, a *arena, ehs, jhs *hotSlot) (sim.Results, error) {
+// and bounded retry of transient failures, on the caller's arena slot.
+func (j *Job) runPoint(ctx context.Context, it runItem, a *arena) (sim.Results, error) {
 	e := j.e
 	attempt := 0
 	for {
 		attempt++
-		res, err := j.runOnce(ctx, it.p, a, ehs, jhs)
+		res, reused, err := j.runOnce(ctx, it.p, a)
+		j.tally(func(s *Stats) {
+			if reused {
+				s.ArenaReuses++
+			} else {
+				s.FreshBuilds++
+			}
+		})
 		if err == nil {
 			return res, nil
 		}
@@ -1141,10 +881,7 @@ func (j *Job) runPoint(ctx context.Context, it runItem, a *arena, ehs, jhs *hotS
 			return sim.Results{}, context.Canceled
 		}
 		if attempt <= e.retries && transient(err) && ctx.Err() == nil {
-			e.mu.Lock()
-			e.stats.Retried++
-			j.stats.Retried++
-			e.mu.Unlock()
+			j.tally(func(s *Stats) { s.Retried++ })
 			time.Sleep(time.Duration(attempt) * e.backoff)
 			continue
 		}
@@ -1164,18 +901,17 @@ func (j *Job) runPoint(ctx context.Context, it runItem, a *arena, ehs, jhs *hotS
 	}
 }
 
-// runOnce executes one attempt on the worker's arena, converting panics —
-// the simulator's structured failures and anything else — into errors. The
+// runOnce executes one attempt on the arena, converting panics — the
+// simulator's structured failures and anything else — into errors. The
 // arena's machine is reset in place when present (the steady-state path:
-// zero arena allocation) and constructed on first use. A structured
-// failure leaves the arena reusable — Machine.Reset restores a
-// bit-identical fresh machine from any mid-run state — but an unstructured
-// panic or a failed reset drops it, since its invariants are unknown.
-// The reuse accounting goes to this worker's padded counter slots, so the
-// hot path never takes the engine mutex.
+// zero arena allocation) and constructed on first use; reused reports
+// which. A structured failure leaves the arena reusable — Machine.Reset
+// restores a bit-identical fresh machine from any mid-run state — but an
+// unstructured panic or a failed reset drops it, since its invariants are
+// unknown. The caller does the counting, so the hot path takes no lock.
 //
 //vsv:hotpath
-func (j *Job) runOnce(ctx context.Context, p Point, a *arena, ehs, jhs *hotSlot) (res sim.Results, err error) {
+func (j *Job) runOnce(ctx context.Context, p Point, a *arena) (res sim.Results, reused bool, err error) {
 	e := j.e
 	//vsvlint:ignore hotpath the panic-recovery boundary must be a deferred function literal; one closure per attempt, amortized against the whole run
 	defer func() {
@@ -1196,27 +932,20 @@ func (j *Job) runOnce(ctx context.Context, p Point, a *arena, ehs, jhs *hotSlot)
 	if e.runTimeout > 0 {
 		opts = append(opts, sim.WithWallDeadline(time.Now().Add(e.runTimeout)))
 	}
-	reused := a.m != nil
+	reused = a.m != nil
 	if reused {
 		if err := a.m.ResetBench(p.Benchmark, opts...); err != nil {
 			a.m = nil
-			return sim.Results{}, err
+			return sim.Results{}, reused, err
 		}
 	} else {
 		m, err := sim.NewBench(p.Benchmark, opts...)
 		if err != nil {
-			return sim.Results{}, err
+			return sim.Results{}, reused, err
 		}
 		a.m = m
 	}
-	if reused {
-		ehs.arenaReuses.Add(1)
-		jhs.arenaReuses.Add(1)
-	} else {
-		ehs.freshBuilds.Add(1)
-		jhs.freshBuilds.Add(1)
-	}
-	return a.m.Run(p.Benchmark), nil
+	return a.m.Run(p.Benchmark), reused, nil
 }
 
 // fail marks an entry as errored and removes it from the cache so a later
@@ -1224,20 +953,15 @@ func (j *Job) runOnce(ctx context.Context, p Point, a *arena, ehs, jhs *hotSlot)
 // counted.
 func (j *Job) fail(it runItem, err error, genuine bool) {
 	e := j.e
-	if !e.noCache && it.fp != "" {
-		sh := e.shard(it.fp)
-		sh.mu.Lock()
-		if cur, ok := sh.cache[it.fp]; ok && cur == it.en {
-			delete(sh.cache, it.fp)
-		}
-		sh.mu.Unlock()
+	e.mu.Lock()
+	if cur, ok := e.cache[it.fp]; ok && cur == it.en {
+		delete(e.cache, it.fp)
 	}
 	if genuine {
-		e.mu.Lock()
 		e.stats.Failed++
 		j.stats.Failed++
-		e.mu.Unlock()
 	}
+	e.mu.Unlock()
 	it.en.err = err
 	close(it.en.done)
 }

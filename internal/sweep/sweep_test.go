@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -140,18 +139,18 @@ func TestWithoutCache(t *testing.T) {
 }
 
 func TestProgressCallback(t *testing.T) {
-	var calls int32
+	var calls int
 	var last Progress
 	e := New(Workers(2), OnProgress(func(p Progress) {
-		atomic.AddInt32(&calls, 1)
-		last = p // serialized by the engine
+		calls++ // serialized by the engine
+		last = p
 	}))
 	pts := testPoints()
 	if _, err := e.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt32(&calls); got != int32(len(pts)) {
-		t.Fatalf("progress calls = %d, want %d", got, len(pts))
+	if calls != len(pts) {
+		t.Fatalf("progress calls = %d, want %d", calls, len(pts))
 	}
 	if last.Done != len(pts) || last.Total != len(pts) {
 		t.Fatalf("final progress = %+v", last)

@@ -3,10 +3,13 @@
 #
 # Runs the short-mode experiment suite (every table and figure at reduced
 # scale) and compares the SHA-256 of its stdout against the committed
-# digest — twice: once with the event-driven fast-forward enabled (the
-# default) and once with -slowtick forcing one tick() per cycle. Both runs
-# must match the same committed hash, which is the proof that the
-# fast-forward path is bit-identical physics, not an approximation.
+# digest — three times: with the event-driven fast-forward enabled (the
+# default), with -slowtick forcing one tick() per cycle, and with
+# -parallel 1. All runs must match the same committed hash. The first two
+# prove the fast-forward path is bit-identical physics, not an
+# approximation; the serial run simulates every point on one machine,
+# reset in campaign order through every configuration shape, which proves
+# machine reuse is bit-identical to fresh construction.
 #
 # The simulator is deterministic, so any digest drift means a behavior
 # change: performance work must keep this green, and intentional physics
@@ -38,3 +41,4 @@ check() {
 
 check "fast-forward"
 check "slow-tick" -slowtick
+check "serial" -parallel 1
