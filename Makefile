@@ -55,12 +55,13 @@ campaign-smoke:
 	sh scripts/campaign_smoke.sh
 
 # Robustness soak: loop the fault-injection, watchdog, campaign-runner,
-# worker-bound, bounded-cache and ledger tests under the race detector.
+# worker-bound, bounded-cache and ledger tests, and the record log's
+# failpoint matrix, under the race detector.
 # Fault schedules exercise different interleavings per -count iteration
 # only through scheduling, so the loop shakes out timing-dependent bugs
 # the single-shot suite would miss.
 stress:
-	$(GO) test -race -count=20 ./internal/faults/
+	$(GO) test -race -count=20 ./internal/faults/ ./internal/recordlog/
 	$(GO) test -race -count=20 -run 'Fault|Watchdog|Robust|Checkpoint|RunError|FailFast|ContinueOnError|Timeout|Resume|CacheBound|Bound|Ledger' \
 		./internal/sim/ ./internal/sweep/ ./internal/experiments/
 

@@ -20,16 +20,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/cliconfig"
 	"repro/internal/experiments"
-	"repro/internal/multiproc"
 	"repro/internal/report"
 	"repro/internal/sweep"
 )
@@ -46,9 +43,6 @@ func main() {
 		progress = flag.Bool("progress", false, "report campaign progress on stderr")
 		seq      = flag.Bool("seq", false, "run artefacts sequentially instead of concurrently (same output bytes)")
 		slowtick = flag.Bool("slowtick", false, "disable the event-driven fast-forward (debug; results are bit-identical)")
-
-		workerProcs = flag.Int("workerprocs", 1, "fork this many worker processes over a shared work-stealing ledger (1 = in-process only); output stays byte-identical")
-		ledgerPath  = flag.String("ledger", "", "shared ledger file for -workerprocs (default: a temporary file, removed on success)")
 
 		checkpoint = flag.String("checkpoint", "", "checkpoint completed points to this JSONL file (enables -resume after an interruption)")
 		resume     = flag.Bool("resume", false, "resume from the -checkpoint file: previously completed points are not re-simulated")
@@ -101,60 +95,6 @@ func main() {
 		engineOpts = append(engineOpts, sweep.ContinueOnError())
 	}
 
-	// Multi-process mode: the parent forks -workerprocs copies of this
-	// binary over a shared work-stealing ledger, then renders the merged
-	// campaign itself — byte-identical to the single-process run. Workers
-	// (detected by environment) execute the same grid with their text
-	// discarded and never touch checkpoints or CSV sinks.
-	out := io.Writer(os.Stdout)
-	if wid, isWorker := multiproc.WorkerID(); isWorker {
-		path := multiproc.LedgerPath()
-		if path == "" {
-			fail(fmt.Errorf("worker %d: no ledger path in environment", wid))
-		}
-		led, err := sweep.OpenLedger(path, sweep.LedgerWorker(fmt.Sprintf("w%d", wid)))
-		if err != nil {
-			fail(err)
-		}
-		defer led.Close()
-		engineOpts = append(engineOpts, sweep.WithLedger(led), sweep.ContinueOnError())
-		out = io.Discard
-		*checkpoint, *resume, *csvDir = "", false, ""
-	} else if *workerProcs > 1 {
-		if *checkpoint != "" {
-			fail(fmt.Errorf("-workerprocs is incompatible with -checkpoint (the ledger already persists completed points)"))
-		}
-		path := *ledgerPath
-		if path == "" {
-			path = filepath.Join(os.TempDir(), fmt.Sprintf("experiments-ledger-%d.jsonl", os.Getpid()))
-		}
-		// A fresh campaign must not inherit a stale ledger's points.
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			fail(err)
-		}
-		group, err := multiproc.ForkSelf(context.Background(), *workerProcs, path, os.Stderr)
-		if err != nil {
-			fail(err)
-		}
-		for _, werr := range group.Wait() {
-			if werr != nil {
-				// A dead worker is survivable: its claims expire and its
-				// points are re-stolen here in the render pass.
-				fmt.Fprintf(os.Stderr, "experiments: %v (campaign continues; claimed points will be re-stolen)\n", werr)
-			}
-		}
-		led, err := sweep.OpenLedger(path, sweep.LedgerWorker("parent"))
-		if err != nil {
-			fail(err)
-		}
-		defer led.Close()
-		engineOpts = append(engineOpts, sweep.WithLedger(led))
-		if *ledgerPath == "" {
-			defer os.Remove(path)
-		}
-	}
-
-	var cp *sweep.Checkpoint
 	if *resume && *checkpoint == "" {
 		fail(fmt.Errorf("-resume requires -checkpoint"))
 	}
@@ -169,16 +109,19 @@ func main() {
 				fail(err)
 			}
 		}
-		var err error
-		if cp, err = sweep.OpenCheckpoint(*checkpoint); err != nil {
+		// The checkpoint is a ledger this command alone writes. Its fixed
+		// worker name lets a resumed run take back the claims a killed
+		// predecessor left live instead of waiting out their TTL.
+		led, err := sweep.OpenLedger(*checkpoint, sweep.LedgerWorker("experiments"))
+		if err != nil {
 			fail(err)
 		}
-		defer cp.Close()
-		if *resume && cp.Loaded() > 0 {
+		defer led.Close()
+		if *resume && led.Loaded() > 0 {
 			fmt.Fprintf(os.Stderr, "resuming: %d checkpointed points loaded from %s\n",
-				cp.Loaded(), *checkpoint)
+				led.Loaded(), *checkpoint)
 		}
-		engineOpts = append(engineOpts, sweep.WithCheckpoint(cp))
+		engineOpts = append(engineOpts, sweep.WithLedger(led))
 	}
 	if *progress {
 		engineOpts = append(engineOpts, sweep.OnProgress(func(p sweep.Progress) {
@@ -198,7 +141,7 @@ func main() {
 
 	// Artefact text streams straight to stdout (in artefact order), exactly
 	// as the historical print loop did; outs is kept for the CSV sink.
-	outs, err := experiments.RunArtefacts(out, o, spec, arts, *seq)
+	outs, err := experiments.RunArtefacts(os.Stdout, o, spec, arts, *seq)
 	if err != nil {
 		fail(err)
 	}
@@ -226,13 +169,9 @@ func main() {
 			"sweep: %d points, %d simulated, %d cache hits, %v total sim time (worst %s %v)\n",
 			st.Points, st.Ran, st.CacheHits, st.SimTime.Round(1e6),
 			st.WorstKey, st.WorstRun.Round(1e6))
-		if st.CheckpointHits > 0 || st.Failed > 0 || st.Retried > 0 {
+		if st.LedgerHits > 0 || st.Failed > 0 || st.Retried > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: %d checkpoint hits, %d failed, %d retried\n",
-				st.CheckpointHits, st.Failed, st.Retried)
-		}
-		if st.LedgerHits > 0 || st.Steals > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: %d ledger hits, %d stolen claims\n",
-				st.LedgerHits, st.Steals)
+				st.LedgerHits, st.Failed, st.Retried)
 		}
 	}
 	if err := profFlags.Stop(); err != nil {

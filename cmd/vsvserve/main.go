@@ -66,16 +66,18 @@ func main() {
 		engineOpts = append(engineOpts, sweep.Retries(*retries))
 	}
 	if *checkpoint != "" {
-		cp, err := sweep.OpenCheckpoint(*checkpoint)
+		// A ledger this server alone writes, under a fixed worker name so a
+		// restart takes back the claims its predecessor left live.
+		led, err := sweep.OpenLedger(*checkpoint, sweep.LedgerWorker("vsvserve"))
 		if err != nil {
 			fail(err)
 		}
-		defer cp.Close()
-		if cp.Loaded() > 0 {
+		defer led.Close()
+		if led.Loaded() > 0 {
 			fmt.Fprintf(os.Stderr, "vsvserve: warm start: %d checkpointed points loaded from %s\n",
-				cp.Loaded(), *checkpoint)
+				led.Loaded(), *checkpoint)
 		}
-		engineOpts = append(engineOpts, sweep.WithCheckpoint(cp))
+		engineOpts = append(engineOpts, sweep.WithLedger(led))
 	}
 
 	var journal *campaign.Journal

@@ -7,10 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// CheckpointRecord is one line of a sweep checkpoint file — the same
-// schema, version tag included, that the campaign service's API payloads
-// use for results. A checkpoint file is therefore a valid sequence of v1
-// API result envelopes, and vice versa.
+// CheckpointRecord is one completion line of a sweep ledger (checkpoint)
+// file — the same schema, version tag included, that the campaign
+// service's API payloads use for results.
 type CheckpointRecord struct {
 	// V is the wire-format version (Version for records written by this
 	// package; 0 only appears when decoding legacy pre-versioned files).

@@ -86,7 +86,8 @@ type JobProgress struct {
 	PointsSubmitted int `json:"points_submitted"`
 	PointsDone      int `json:"points_done"`
 	// Ran / CacheHits / CheckpointHits / Failed / Retried break down the
-	// resolution (see sweep.Stats).
+	// resolution (see sweep.Stats). CheckpointHits counts points served
+	// from the engine's ledger (the -checkpoint file): sweep's LedgerHits.
 	Ran            int `json:"ran"`
 	CacheHits      int `json:"cache_hits"`
 	CheckpointHits int `json:"checkpoint_hits"`
@@ -183,7 +184,7 @@ type ArtefactsResponse struct {
 }
 
 // EngineStats is the wire form of the shared engine's lifetime counters
-// (sweep.Stats; durations in nanoseconds).
+// (sweep.Stats; durations in nanoseconds; CheckpointHits is LedgerHits).
 type EngineStats struct {
 	Points         int    `json:"points"`
 	Ran            int    `json:"ran"`
@@ -194,11 +195,6 @@ type EngineStats struct {
 	SimTimeNS      int64  `json:"sim_time_ns"`
 	WorstRunNS     int64  `json:"worst_run_ns"`
 	WorstKey       string `json:"worst_key,omitempty"`
-	// LedgerHits counts points served from the work-stealing ledger and
-	// Steals counts expired foreign claims taken over (both zero unless a
-	// ledger is attached).
-	LedgerHits int `json:"ledger_hits,omitempty"`
-	Steals     int `json:"steals,omitempty"`
 	// CacheEntries is the memo cache's current population; CacheEvicted
 	// counts entries dropped by the engine's cache bound.
 	CacheEntries int `json:"cache_entries"`

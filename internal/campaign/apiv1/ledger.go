@@ -7,11 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Ledger record kinds. A work-stealing ledger file is a superset of a
-// checkpoint file: completion records are exactly v1 CheckpointRecords
-// (kind absent or "complete"), and claim records — advisory "worker W is
-// running fingerprint FP until deadline D" lines — carry the explicit
-// kind "claim" so a checkpoint reader can never mistake one for a result.
+// Ledger record kinds. A ledger file (which is also what -checkpoint
+// writes) holds completion records that are exactly v1 CheckpointRecords
+// (kind absent or "complete"), so checkpoint files of bare completion
+// lines load as ledgers; claim records — advisory "worker W is running
+// fingerprint FP until deadline D" lines — carry the explicit kind
+// "claim" so DecodeCheckpointRecord can never mistake one for a result.
 const (
 	// LedgerKindComplete marks a completed-run record. Completion records
 	// written by this package omit the kind field entirely (they are plain
@@ -94,11 +95,10 @@ type LedgerRecord struct {
 	Res      sim.Results
 }
 
-// DecodeLedgerRecord parses one ledger line of either kind. Unknown kinds
+// DecodeLedgerRecord parses one ledger line of any kind. Unknown kinds
 // and newer versions are errors; ledger readers treat an undecodable
 // complete line as skippable noise (a multi-writer file cannot be
-// truncated at the first bad record the way a single-writer checkpoint
-// can).
+// truncated at the first bad record).
 func DecodeLedgerRecord(line []byte) (LedgerRecord, error) {
 	var probe struct {
 		V    int    `json:"v"`

@@ -191,10 +191,10 @@ func (j *job) progress() apiv1.JobProgress {
 func progressFromStats(st sweep.Stats) apiv1.JobProgress {
 	return apiv1.JobProgress{
 		PointsSubmitted: st.Points,
-		PointsDone:      st.Ran + st.CacheHits + st.CheckpointHits,
+		PointsDone:      st.Ran + st.CacheHits + st.LedgerHits,
 		Ran:             st.Ran,
 		CacheHits:       st.CacheHits,
-		CheckpointHits:  st.CheckpointHits,
+		CheckpointHits:  st.LedgerHits,
 		Failed:          st.Failed,
 		Retried:         st.Retried,
 	}

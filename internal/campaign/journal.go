@@ -1,48 +1,39 @@
 package campaign
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"repro/internal/campaign/apiv1"
-	"repro/internal/failpoint"
-)
-
-// Journal failpoint sites (no-ops unless armed; see internal/failpoint).
-const (
-	fpJournalAppend   = "journal.append"   // the single whole-line record write
-	fpJournalSync     = "journal.sync"     // the per-record fsync
-	fpJournalClose    = "journal.close"    // the final fsync at Close
-	fpJournalTruncate = "journal.truncate" // replay's torn-tail chop
+	"repro/internal/recordlog"
 )
 
 // Journal is the campaign server's durable job log: a WAL-style JSONL file
-// (apiv1.JournalRecord lines) that makes accepted jobs survive the process.
-// A submit record is appended — and fsynced — before the server
-// acknowledges a job, and a state record at every durable lifecycle edge
-// (terminal states, interruption), so replaying the file on boot
-// reconstructs every job the server ever admitted: terminal jobs come back
-// as history, everything else comes back as interrupted work to
-// re-dispatch. Because the engine is deterministic, a re-dispatched job's
-// artefacts are byte-identical to what the dead process would have served.
+// (apiv1.JournalRecord lines in an internal/recordlog log) that makes
+// accepted jobs survive the process. A submit record is appended — and
+// fsynced — before the server acknowledges a job, and a state record at
+// every durable lifecycle edge (terminal states, interruption), so
+// replaying the file on boot reconstructs every job the server ever
+// admitted: terminal jobs come back as history, everything else comes
+// back as interrupted work to re-dispatch. Because the engine is
+// deterministic, a re-dispatched job's artefacts are byte-identical to
+// what the dead process would have served. A done job's artefacts are
+// not journaled: after a restart it is history that answers 410.
 //
-// Durability discipline: the journal is single-writer and each record is
-// one whole-line append. Replay skips complete-but-undecodable lines (the
-// repaired fragment of an append that failed mid-file — see append) and
-// truncates only an unterminated trailing fragment, the torn tail of the
-// write a crash cut short. A torn tail is always an unacknowledged record:
-// the submit fsync completes before the 202, so nothing acknowledged is
-// ever dropped.
+// Durability discipline: the journal is single-writer, each record is one
+// whole-line append, and the file is never truncated. Replay skips
+// complete-but-undecodable lines (the capped fragment of an append that
+// failed or was cut short by a crash) and ignores an unterminated tail.
+// A torn record is always an unacknowledged one: the submit fsync
+// completes before the 202, so nothing acknowledged is ever dropped. The
+// log's failpoint sites are journal.append, journal.sync and
+// journal.close.
 type Journal struct {
 	mu        sync.Mutex
-	f         *os.File
+	log       *recordlog.Log
 	path      string
 	recovered []RecoveredJob
 	maxSeq    int
-	tornTail  bool // last append failed; the file may end mid-line
 }
 
 // RecoveredJob is one job reconstructed by replay: its original ID and
@@ -57,37 +48,23 @@ type RecoveredJob struct {
 
 // OpenJournal opens (creating if needed) the journal at path and replays
 // it: every admitted job is reconstructed under Recovered, in admission
-// order, and a torn trailing line is truncated away.
+// order.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, err := recordlog.Open(path, "journal", true)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
-	jr := &Journal{f: f, path: path}
-
-	// Replay, tracking the byte offset of the last complete line — anything
-	// after it is the unterminated torn tail of the write a crash cut short.
+	jr := &Journal{log: log, path: path}
 	byID := make(map[string]int) // id → index into jr.recovered
-	var good int64
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			break // EOF, possibly with an unterminated torn line: drop it
-		}
-		good += int64(len(line))
+	err = log.Read(func(line []byte) bool {
 		rec, err := apiv1.DecodeJournalRecord(line)
 		if err != nil {
-			// A complete but undecodable line: the capped fragment of a
-			// failed append (torn-tail repair terminates it so the records
-			// behind it stay reachable). Skip, never truncate — fsynced
-			// acknowledgements may follow it.
-			continue
+			return false
 		}
 		switch rec.Kind {
 		case apiv1.JournalKindSubmit:
 			if _, dup := byID[rec.ID]; dup {
-				continue // duplicate submit: first wins
+				return true // duplicate submit: first wins
 			}
 			byID[rec.ID] = len(jr.recovered)
 			jr.recovered = append(jr.recovered, RecoveredJob{
@@ -98,20 +75,15 @@ func OpenJournal(path string) (*Journal, error) {
 				jr.maxSeq = seq
 			}
 		case apiv1.JournalKindState:
-			i, ok := byID[rec.ID]
-			if !ok {
-				continue // state for an unknown id: stale noise, skip
+			if i, ok := byID[rec.ID]; ok { // a state for an unknown id is stale noise
+				jr.recovered[i].State = rec.State
+				jr.recovered[i].Err = rec.Error
 			}
-			jr.recovered[i].State = rec.State
-			jr.recovered[i].Err = rec.Error
 		}
-	}
-	if err := failpoint.Do(fpJournalTruncate, func() error { return f.Truncate(good) }); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("campaign: journal: truncate: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		_ = f.Close()
+		return true
+	})
+	if err != nil {
+		_ = log.Close()
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
 	// Replay leaves non-terminal last-known states (queued, running) as
@@ -160,27 +132,12 @@ func (jr *Journal) Record(id string, state apiv1.JobState, jerr *apiv1.Error) er
 	return jr.append(line)
 }
 
-// append writes one whole line and fsyncs. After a failed append the file
-// may end mid-line; the next append leads with an extra terminator so the
-// fragment parses as one bad line, which replay truncates or skips.
+// append writes one record and fsyncs it.
 func (jr *Journal) append(line []byte) error {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
-	if jr.f == nil {
-		return fmt.Errorf("campaign: journal: closed")
-	}
-	buf := make([]byte, 0, len(line)+2)
-	if jr.tornTail {
-		buf = append(buf, '\n')
-	}
-	buf = append(append(buf, line...), '\n')
-	if _, err := failpoint.Write(fpJournalAppend, jr.f, buf); err != nil {
-		jr.tornTail = true
-		return fmt.Errorf("campaign: journal: append: %w", err)
-	}
-	jr.tornTail = false
-	if err := failpoint.Sync(fpJournalSync, jr.f); err != nil {
-		return fmt.Errorf("campaign: journal: sync: %w", err)
+	if err := jr.log.Append(line); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	return nil
 }
@@ -189,11 +146,8 @@ func (jr *Journal) append(line []byte) error {
 func (jr *Journal) Sync() error {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
-	if jr.f == nil {
-		return nil
-	}
-	if err := failpoint.Sync(fpJournalSync, jr.f); err != nil {
-		return fmt.Errorf("campaign: journal: sync: %w", err)
+	if err := jr.log.Sync(); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	return nil
 }
@@ -202,14 +156,8 @@ func (jr *Journal) Sync() error {
 func (jr *Journal) Close() error {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
-	if jr.f == nil {
-		return nil
+	if err := jr.log.Close(); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
 	}
-	serr := failpoint.Do(fpJournalClose, jr.f.Sync)
-	cerr := jr.f.Close()
-	jr.f = nil
-	if serr != nil {
-		return fmt.Errorf("campaign: journal: close: %w", serr)
-	}
-	return cerr
+	return nil
 }

@@ -45,7 +45,7 @@ import (
 // engine, 16 queue slots, 2 concurrent jobs, no per-job run budget.
 type Config struct {
 	// Engine is the shared sweep engine every job runs on. Nil builds a
-	// private one with default workers. Passing an engine with a checkpoint
+	// private one with default workers. Passing an engine with a ledger
 	// attached gives the service warm-start across process lifetimes.
 	Engine *sweep.Engine
 	// Options seeds each job's experiment options (windows, slow-tick);
@@ -788,14 +788,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Points:         st.Points,
 			Ran:            st.Ran,
 			CacheHits:      st.CacheHits,
-			CheckpointHits: st.CheckpointHits,
+			CheckpointHits: st.LedgerHits,
 			Failed:         st.Failed,
 			Retried:        st.Retried,
 			SimTimeNS:      st.SimTime.Nanoseconds(),
 			WorstRunNS:     st.WorstRun.Nanoseconds(),
 			WorstKey:       st.WorstKey,
-			LedgerHits:     st.LedgerHits,
-			Steals:         st.Steals,
 			CacheEntries:   s.engine.CacheLen(),
 			CacheEvicted:   st.Evicted,
 			ArenaReuses:    st.ArenaReuses,

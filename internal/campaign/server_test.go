@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -294,6 +295,35 @@ func TestCacheSharedAcrossJobs(t *testing.T) {
 	}
 	if stats.Engine.ReuseRate < 0 || stats.Engine.ReuseRate > 1 {
 		t.Fatalf("reuse_rate out of range: %v", stats.Engine.ReuseRate)
+	}
+}
+
+// TestCheckpointWarmStart pins the -checkpoint accounting: a restarted
+// service whose engine reopens the ledger serves a repeated job entirely
+// from it, and counts those points as done checkpoint hits both in the
+// job's progress and in the engine stats.
+func TestCheckpointWarmStart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	life := func() (apiv1.JobProgress, apiv1.EngineStats) {
+		led, err := sweep.OpenLedger(path, sweep.LedgerWorker("vsvserve"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer led.Close()
+		_, ts := start(t, campaign.Config{Engine: sweep.New(sweep.Workers(2), sweep.WithLedger(led))})
+		created := postJob(t, ts, tinyReq())
+		st := waitState(t, ts, created.ID, apiv1.StateDone)
+		var stats apiv1.StatsSnapshot
+		if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+			t.Fatalf("stats: HTTP %d", code)
+		}
+		return st.Progress, stats.Engine
+	}
+	first, _ := life()
+	p, eng := life()
+	if p.Ran != 0 || p.CheckpointHits != first.Ran || p.PointsDone != p.PointsSubmitted ||
+		eng.CheckpointHits != p.CheckpointHits {
+		t.Fatalf("warm restart: progress %+v engine %+v, want every point a done checkpoint hit", p, eng)
 	}
 }
 

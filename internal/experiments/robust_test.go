@@ -33,19 +33,19 @@ func TestResumeByteIdentical(t *testing.T) {
 	want := campaignText(t, o, "fig4", "summary")
 
 	// Lifetime 1: only part of the campaign completes before the "kill".
-	cp, err := sweep.OpenCheckpoint(path)
+	cp, err := sweep.OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o1 := o
-	o1.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithCheckpoint(cp))
+	o1.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithLedger(cp))
 	campaignText(t, o1, "fig4")
 	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Lifetime 2: resume and run the full campaign.
-	cp2, err := sweep.OpenCheckpoint(path)
+	cp2, err := sweep.OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +54,13 @@ func TestResumeByteIdentical(t *testing.T) {
 		t.Fatal("nothing checkpointed in the first lifetime")
 	}
 	o2 := o
-	o2.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithCheckpoint(cp2))
+	o2.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithLedger(cp2))
 	got := campaignText(t, o2, "fig4", "summary")
 
 	if got != want {
 		t.Fatal("resumed stdout differs from uninterrupted stdout")
 	}
-	if st := o2.Engine.Stats(); st.CheckpointHits == 0 {
+	if st := o2.Engine.Stats(); st.LedgerHits == 0 {
 		t.Fatalf("resume did not use the checkpoint: %+v", st)
 	}
 }

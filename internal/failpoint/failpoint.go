@@ -1,6 +1,6 @@
 // Package failpoint injects deterministic I/O failures into the
-// durability-critical write paths (the campaign journal, the sweep
-// checkpoint, the work-stealing ledger) so crash-safety claims are tested
+// durability-critical write paths (the record log under the campaign
+// journal and the sweep ledger) so crash-safety claims are tested
 // against the failures they promise to survive, not just the happy path.
 //
 // A failpoint is a named site in production code that routes an operation

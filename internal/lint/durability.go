@@ -10,14 +10,14 @@ import (
 
 // durability enforces the error discipline of the durable-I/O packages
 // (DESIGN.md §14). A package declares itself durable by importing the
-// failpoint helpers (the checkpoint, ledger and journal writers all do),
-// and the apiv1 wire-format package is durable by fiat. Inside the
-// durable surface:
+// failpoint helpers or the record log built on them (internal/recordlog,
+// under the ledger and the journal), and the apiv1 wire-format package is
+// durable by fiat. Inside the durable surface:
 //
 //   - The error of a durable operation — the failpoint helpers, the
 //     write/sync/flush/truncate/close family on *os.File and
 //     *bufio.Writer, and the write-shaped methods of the repo's own
-//     durable types (Journal.Submit/Record, Checkpoint/Ledger methods) —
+//     durable types (recordlog.Log, Journal.Submit/Record, Ledger) —
 //     must never be dropped: not as a bare statement, not behind a
 //     blank assignment, not behind defer or go. The one sanctioned
 //     discard is `_ = f.Close()` on an error path where a more specific
@@ -33,11 +33,12 @@ type durability struct{}
 func (durability) Name() string { return "durability" }
 
 func (durability) Doc() string {
-	return "durable-write errors (failpoint helpers, os/bufio writers, journal/ledger/checkpoint methods) must be checked and wrapped with %w, never dropped"
+	return "durable-write errors (failpoint helpers, os/bufio writers, record log/journal/ledger methods) must be checked and wrapped with %w, never dropped"
 }
 
 // durablePkg reports whether the package is part of the durable surface:
-// it imports the failpoint helpers, or it is the apiv1 wire format.
+// it imports the failpoint helpers or the record log, or it is the apiv1
+// wire format.
 func durablePkg(pkg *Package) bool {
 	if strings.HasSuffix(pkg.Path, "internal/campaign/apiv1") {
 		return true
@@ -46,7 +47,7 @@ func durablePkg(pkg *Package) bool {
 		return false // the injector itself, not a durable writer
 	}
 	for _, imp := range pkg.Types.Imports() {
-		if strings.HasSuffix(imp.Path(), "internal/failpoint") {
+		if strings.HasSuffix(imp.Path(), "internal/failpoint") || strings.HasSuffix(imp.Path(), "internal/recordlog") {
 			return true
 		}
 	}

@@ -9,15 +9,15 @@ import (
 
 // failpointcoverage keeps the crash-injection surface complete
 // (DESIGN.md §14): inside the durable packages (the ones that import the
-// failpoint helpers, plus apiv1), every mutating operation on a durable
-// file — Write/WriteString/WriteAt/Sync/Truncate on *os.File, and
-// Write/Flush and friends on *bufio.Writer — must route through a
-// failpoint-instrumented helper (failpoint.Write/Sync/Do), never be
-// called directly. A direct call is invisible to the kill -9 replay and
+// failpoint helpers or the record log, plus apiv1), every mutating
+// operation on a durable file — Write/WriteString/WriteAt/Sync/Truncate
+// on *os.File, and Write/Flush and friends on *bufio.Writer — must route
+// through a failpoint-instrumented helper (failpoint.Write/Sync/Do), never
+// be called directly. A direct call is invisible to the kill -9 replay and
 // torn-write tests, so a new writer added this way would ship with its
 // crash behaviour untested. Reads (ReadAt) and lifecycle Close calls are
 // out of scope: they do not mutate durable bytes, and the close-path
-// fsync is already a failpoint.Do site.
+// fsync is already a failpoint site.
 type failpointcoverage struct{}
 
 func (failpointcoverage) Name() string { return "failpointcoverage" }

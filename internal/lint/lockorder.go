@@ -27,7 +27,7 @@ import (
 //     under a select with a default case is non-blocking and
 //     sanctioned). The ban closes over the call graph, so hiding the
 //     Fsync behind a helper does not help. Locks without the marker
-//     (the ledger, journal and checkpoint locks) are coarse I/O locks
+//     (the ledger and journal locks) are coarse I/O locks
 //     by design and only participate in ordering.
 type lockorder struct{}
 

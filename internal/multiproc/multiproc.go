@@ -1,31 +1,33 @@
-// Package multiproc forks and joins worker copies of the current
-// executable for multi-process campaigns. The protocol is deliberately
-// tiny: the parent re-execs its own binary with the original argv
-// preserved and two environment variables added — the worker's index and
-// the shared ledger path — so a worker parses exactly the flags the user
-// typed and differs from the parent only in where its output goes and in
-// running against the work-stealing ledger. Drivers (cmd/vsvcampaign,
-// cmd/experiments -workerprocs) call IsWorker first thing in main and
+// Package multiproc runs supervised worker copies of the current
+// executable for multi-process campaigns (cmd/vsvcampaign). The protocol
+// is deliberately tiny: Supervise re-execs its own binary with the
+// original argv preserved and a few environment variables added — the
+// worker's slot index, its restart generation and the shared ledger path —
+// so a worker parses exactly the flags the user typed and differs from
+// the parent only in where its output goes and in running against the
+// work-stealing ledger. Drivers call WorkerID first thing in main and
 // branch into their worker entry point.
+//
+// Processes exist for fault isolation, not speed: a fatal runtime error,
+// an out-of-memory kill or a kill -9 takes down one worker, which recover
+// cannot catch inside a single process. The supervisor restarts the slot,
+// the dead worker's claims are stolen or taken back, and a point that
+// keeps killing workers is quarantined.
 package multiproc
 
 import (
-	"context"
-	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"strconv"
 )
 
-// WorkerEnv carries a forked worker's index (0-based, decimal).
+// WorkerEnv carries a worker's slot index (0-based, decimal).
 const WorkerEnv = "VSV_WORKER_ID"
 
 // LedgerEnv carries the shared work-stealing ledger's file path.
 const LedgerEnv = "VSV_LEDGER"
 
-// WorkerID returns this process's worker index when it was forked by
-// ForkSelf, and ok=false in the parent (or any ordinarily-launched
+// WorkerID returns this process's worker slot when it was started by
+// Supervise, and ok=false in the parent (or any ordinarily-launched
 // process).
 func WorkerID() (id int, ok bool) {
 	v := os.Getenv(WorkerEnv)
@@ -39,71 +41,6 @@ func WorkerID() (id int, ok bool) {
 	return n, true
 }
 
-// IsWorker reports whether this process is a forked campaign worker.
-func IsWorker() bool {
-	_, ok := WorkerID()
-	return ok
-}
-
-// LedgerPath returns the ledger path handed down by the forking parent
-// ("" outside a worker).
+// LedgerPath returns the ledger path handed down by the supervising
+// parent ("" outside a worker).
 func LedgerPath() string { return os.Getenv(LedgerEnv) }
-
-// Group is a set of forked worker processes.
-type Group struct {
-	cmds []*exec.Cmd
-}
-
-// ForkSelf starts n copies of the current executable with this process's
-// argv preserved, each tagged with its worker index and the shared ledger
-// path. Worker stdout is discarded (the parent renders the merged output);
-// stderr streams are forwarded to stderr so worker diagnostics surface.
-// Cancelling ctx kills the workers.
-func ForkSelf(ctx context.Context, n int, ledger string, stderr io.Writer) (*Group, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("multiproc: fork count %d < 1", n)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("multiproc: %w", err)
-	}
-	g := &Group{}
-	for i := 0; i < n; i++ {
-		cmd := exec.CommandContext(ctx, exe, os.Args[1:]...)
-		cmd.Env = append(os.Environ(),
-			WorkerEnv+"="+strconv.Itoa(i),
-			LedgerEnv+"="+ledger,
-		)
-		cmd.Stdout = io.Discard
-		cmd.Stderr = stderr
-		if err := cmd.Start(); err != nil {
-			g.killAll()
-			return nil, fmt.Errorf("multiproc: starting worker %d: %w", i, err)
-		}
-		g.cmds = append(g.cmds, cmd)
-	}
-	return g, nil
-}
-
-// Wait joins every worker and returns one entry per worker: nil for a
-// clean exit, the exec error otherwise. A non-nil entry is not fatal to
-// the campaign — the ledger protocol tolerates killed workers — so callers
-// decide how loudly to report it.
-func (g *Group) Wait() []error {
-	errs := make([]error, len(g.cmds))
-	for i, cmd := range g.cmds {
-		if err := cmd.Wait(); err != nil {
-			errs[i] = fmt.Errorf("worker %d: %w", i, err)
-		}
-	}
-	return errs
-}
-
-func (g *Group) killAll() {
-	for _, cmd := range g.cmds {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}
-}

@@ -30,8 +30,7 @@ func WorkerGen() int {
 }
 
 // WorkerName is the canonical ledger identity for a worker process:
-// "w<slot>" for generation 0 (matching the pre-supervision name, so plain
-// ForkSelf drivers are unchanged) and "w<slot>g<gen>" for restarts.
+// "w<slot>" for generation 0 and "w<slot>g<gen>" for restarts.
 func WorkerName(slot, gen int) string {
 	if gen == 0 {
 		return fmt.Sprintf("w%d", slot)

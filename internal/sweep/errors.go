@@ -20,7 +20,7 @@ type RunError struct {
 	Benchmark string
 	Seed      uint64
 	// Fingerprint is the point's memoization fingerprint — with the
-	// campaign's plan (or checkpoint) it pins down the exact configuration
+	// campaign's plan (or ledger) it pins down the exact configuration
 	// that failed.
 	Fingerprint string
 	// Attempts is how many times the point was tried (> 1 when transient

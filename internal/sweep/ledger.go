@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -11,62 +9,54 @@ import (
 	"time"
 
 	"repro/internal/campaign/apiv1"
-	"repro/internal/failpoint"
+	"repro/internal/recordlog"
 	"repro/internal/sim"
 )
 
-// Ledger failpoint sites (no-ops unless armed; see internal/failpoint).
-const (
-	// fpLedgerAppend is the single O_APPEND write of one whole line —
-	// claim, completion and poison records all pass through it.
-	fpLedgerAppend = "ledger.append"
-	// FPLedgerClaimed fires between winning a claim and running the
-	// point. Armed with crash and a key, it models a poisoned input that
-	// kills any worker that picks it up — the supervisor's quarantine
-	// drill. Exported so drivers can name the site in chaos schedules.
-	FPLedgerClaimed = "ledger.claimed"
-)
+// FPLedgerClaimed is the failpoint site (see internal/failpoint) between
+// winning a claim and running the point. Armed with crash and a key, it
+// models a poisoned input that kills any worker that picks it up — the
+// supervisor's quarantine drill. Exported so drivers can name the site in
+// chaos schedules. Claim, completion and poison records are written at
+// the log's ledger.append site.
+const FPLedgerClaimed = "ledger.claimed"
 
-// Ledger turns the checkpoint's JSONL format into a multi-writer
-// work-stealing ledger: several worker processes open the same file,
-// announce which points they are running (claim records), and publish
-// results as they finish (completion records, byte-identical to v1
-// checkpoint records). The coordination protocol is deliberately minimal
-// because the simulations themselves are deterministic:
+// Ledger is the sweep engine's durable record of finished points: a JSONL
+// file (internal/recordlog) that one or many worker processes share.
+// Workers announce which points they are running (claim records) and
+// publish results as they finish (completion records, apiv1
+// CheckpointRecords); a supervisor can withdraw a point that keeps
+// crashing its workers (poison records). A single process that reopens
+// its own ledger under the same worker name resumes an interrupted
+// campaign, which is what -checkpoint files are. The coordination
+// protocol is deliberately minimal because the simulations themselves
+// are deterministic:
 //
-//   - Appends are single O_APPEND write(2) calls of one whole line, so
-//     concurrent writers never interleave bytes within a record.
+//   - Appends are single O_APPEND write(2) calls of one whole record, led
+//     by a terminator that caps any fragment a dead writer left, so no
+//     record is ever glued onto another writer's torn line.
 //   - Claims are advisory. Two workers that race the same fingerprint both
 //     run it; the duplicate is wasted work, not an error, because both
 //     produce bit-identical results and the first completion record wins.
 //   - Claims expire. A claim carries a wall-clock deadline; once it passes
 //     without a completion, any worker may steal the point. A worker
 //     killed mid-run therefore delays its claimed points by at most the
-//     claim TTL.
-//   - Readers never truncate. Unlike the single-writer checkpoint, a torn
-//     or corrupt line cannot be cut off (another process may already have
-//     valid records after it); instead an unterminated trailing fragment
-//     stays pending until its terminator arrives, and a complete-but-
-//     undecodable line is skipped and counted.
-//
-// A ledger file whose claims have all expired or completed is a valid
-// checkpoint file apart from the claim lines, which the checkpoint reader
-// rejects as corruption — so ledgers and checkpoints stay distinct files.
+//     claim TTL — or not at all for a successor under the same worker
+//     name, which takes its own claims back at once.
+//   - Readers never truncate: another process may already have valid
+//     records after a torn or corrupt line. An unterminated tail waits
+//     for its terminator; a complete-but-undecodable line is skipped and
+//     counted.
 type Ledger struct {
 	mu       sync.Mutex
-	f        *os.File
+	log      *recordlog.Log
 	worker   string
 	ttl      time.Duration
 	poll     time.Duration
-	readOff  int64  // bytes consumed from the file so far
-	pending  []byte // trailing bytes not yet terminated by '\n'
-	buf      []byte // read buffer, reused across refreshes
 	done     map[string]sim.Results
 	claims   map[string]claimState
 	poisoned map[string]string // fingerprint → quarantine reason
 	loaded   int               // completion records absorbed over the ledger's lifetime
-	skipped  int               // undecodable complete lines skipped
-	tornTail bool              // last append failed; the file may end mid-line
 }
 
 type claimState struct {
@@ -79,8 +69,10 @@ type claimState struct {
 type LedgerOption func(*Ledger)
 
 // LedgerWorker sets the ledger's worker identity, written into its claim
-// records. The default is pid-derived; multi-process drivers set stable
-// worker names for diagnosability.
+// records. The default is pid-derived. Multi-process drivers set stable
+// worker names for diagnosability; a driver that resumes its own ledger
+// (experiments -checkpoint) sets a fixed one, so the resumed run takes
+// back its dead predecessor's claims at once instead of waiting them out.
 func LedgerWorker(id string) LedgerOption {
 	return func(l *Ledger) {
 		if id != "" {
@@ -114,12 +106,12 @@ func LedgerPoll(d time.Duration) LedgerOption {
 // OpenLedger opens (creating if needed) the shared ledger file at path and
 // absorbs every record already present.
 func OpenLedger(path string, opts ...LedgerOption) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	log, err := recordlog.Open(path, "ledger", false)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: ledger: %w", err)
 	}
 	l := &Ledger{
-		f:        f,
+		log:      log,
 		worker:   "pid-" + strconv.Itoa(os.Getpid()),
 		ttl:      10 * time.Second,
 		poll:     25 * time.Millisecond,
@@ -130,11 +122,8 @@ func OpenLedger(path string, opts ...LedgerOption) (*Ledger, error) {
 	for _, o := range opts {
 		o(l)
 	}
-	l.mu.Lock()
-	err = l.refreshLocked()
-	l.mu.Unlock()
-	if err != nil {
-		_ = f.Close()
+	if err := l.Refresh(); err != nil {
+		_ = log.Close()
 		return nil, err
 	}
 	return l, nil
@@ -152,82 +141,50 @@ func (l *Ledger) Refresh() error {
 }
 
 func (l *Ledger) refreshLocked() error {
-	if l.f == nil {
-		return fmt.Errorf("sweep: ledger: closed")
-	}
-	if l.buf == nil {
-		l.buf = make([]byte, 1<<16)
-	}
-	for {
-		n, err := l.f.ReadAt(l.buf, l.readOff)
-		if n > 0 {
-			l.readOff += int64(n)
-			l.pending = append(l.pending, l.buf[:n]...)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("sweep: ledger: read: %w", err)
-		}
-		if n == 0 {
-			break
-		}
-	}
-	for {
-		i := bytes.IndexByte(l.pending, '\n')
-		if i < 0 {
-			// An unterminated fragment: a writer is mid-append (or was
-			// killed mid-write). Keep it pending; if its terminator never
-			// arrives, later complete lines appended after it will decode
-			// once the fragment+line parses or be skipped as one bad line.
-			break
-		}
-		line := l.pending[:i]
-		l.pending = l.pending[i+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		rec, err := apiv1.DecodeLedgerRecord(line)
-		if err != nil {
-			// Multi-writer file: cannot truncate at a bad record the way
-			// the checkpoint does. Skip it; at worst the point re-runs.
-			l.skipped++
-			continue
-		}
-		if rec.Claim {
-			if _, ok := l.done[rec.FP]; ok {
-				continue // already complete; a late claim is moot
-			}
-			// Later claims supersede earlier ones for a fingerprint (a
-			// steal re-claims with a fresh deadline).
-			l.claims[rec.FP] = claimState{
-				worker:   rec.Worker,
-				key:      rec.Key,
-				deadline: time.UnixMilli(rec.Deadline),
-			}
-			continue
-		}
-		if rec.Poison {
-			if _, ok := l.done[rec.FP]; ok {
-				continue // a completion already proved the point runs
-			}
-			l.poisoned[rec.FP] = rec.Reason
-			delete(l.claims, rec.FP)
-			continue
-		}
-		if _, ok := l.done[rec.FP]; !ok {
-			// First completion wins. Duplicates (two workers racing one
-			// point) are bit-identical anyway — the simulations are
-			// deterministic — so which record wins is immaterial.
-			l.done[rec.FP] = rec.Res
-			l.loaded++
-		}
-		delete(l.claims, rec.FP)
-		// A completion supersedes any quarantine: the point ran somewhere.
-		delete(l.poisoned, rec.FP)
+	if err := l.log.Read(l.absorb); err != nil {
+		return fmt.Errorf("sweep: ledger: %w", err)
 	}
 	return nil
+}
+
+// absorb folds one ledger line into the in-memory view, reporting false
+// for an undecodable line (the log skips and counts it; at worst the
+// point re-runs).
+func (l *Ledger) absorb(line []byte) bool {
+	rec, err := apiv1.DecodeLedgerRecord(line)
+	if err != nil {
+		return false
+	}
+	_, done := l.done[rec.FP]
+	switch {
+	case done:
+		// Already complete: a late claim is moot, a poison is disproved
+		// and a duplicate completion is bit-identical anyway — the
+		// simulations are deterministic, so the first record wins.
+	case rec.Claim:
+		// Later claims supersede earlier ones for a fingerprint (a steal
+		// re-claims with a fresh deadline).
+		l.claims[rec.FP] = claimState{
+			worker:   rec.Worker,
+			key:      rec.Key,
+			deadline: time.UnixMilli(rec.Deadline),
+		}
+	case rec.Poison:
+		l.poisoned[rec.FP] = rec.Reason
+		delete(l.claims, rec.FP)
+	default:
+		l.markDone(rec.FP, rec.Res)
+	}
+	return true
+}
+
+// markDone records a completion; it supersedes any claim or quarantine
+// (the point ran somewhere).
+func (l *Ledger) markDone(fp string, res sim.Results) {
+	l.done[fp] = res
+	l.loaded++
+	delete(l.claims, fp)
+	delete(l.poisoned, fp)
 }
 
 // Lookup returns the completed results for a fingerprint, from the
@@ -271,8 +228,8 @@ func (l *Ledger) TryClaim(fp, key string) (won, stole bool, err error) {
 	if err != nil {
 		return false, false, fmt.Errorf("sweep: ledger: encode claim: %w", err)
 	}
-	if err := l.appendLocked(line); err != nil {
-		return false, false, err
+	if err := l.log.Append(line); err != nil {
+		return false, false, fmt.Errorf("sweep: ledger: %w", err)
 	}
 	l.claims[fp] = claimState{worker: l.worker, key: key, deadline: deadline}
 	return true, stole, nil
@@ -291,13 +248,10 @@ func (l *Ledger) Complete(fp, key string, res sim.Results) error {
 	if err != nil {
 		return fmt.Errorf("sweep: ledger: encode: %w", err)
 	}
-	if err := l.appendLocked(line); err != nil {
-		return err
+	if err := l.log.Append(line); err != nil {
+		return fmt.Errorf("sweep: ledger: %w", err)
 	}
-	l.done[fp] = res
-	delete(l.claims, fp)
-	delete(l.poisoned, fp)
-	l.loaded++
+	l.markDone(fp, res)
 	return nil
 }
 
@@ -317,8 +271,8 @@ func (l *Ledger) Poison(fp, key, reason string) error {
 	if err != nil {
 		return fmt.Errorf("sweep: ledger: encode poison: %w", err)
 	}
-	if err := l.appendLocked(line); err != nil {
-		return err
+	if err := l.log.Append(line); err != nil {
+		return fmt.Errorf("sweep: ledger: %w", err)
 	}
 	l.poisoned[fp] = reason
 	delete(l.claims, fp)
@@ -356,35 +310,6 @@ func (l *Ledger) ClaimsBy(worker string) []ClaimInfo {
 	return out
 }
 
-// appendLocked writes one whole line (record + terminator) in a single
-// write call. O_APPEND makes the offset positioning atomic across
-// processes, and a single write of a short line is not interleaved with
-// other writers' lines on POSIX local filesystems — the property the
-// whole multi-writer format rests on.
-//
-// A failed append (ENOSPC, short write) may have torn a partial line into
-// the file; the writer cannot know how much got out. The next append
-// therefore leads with an extra terminator, which caps any fragment into
-// one complete-but-undecodable line that every reader skips — the repaired
-// record after it decodes normally. An unnecessary extra newline is free
-// (blank lines are skipped on read).
-func (l *Ledger) appendLocked(line []byte) error {
-	if l.f == nil {
-		return fmt.Errorf("sweep: ledger: closed")
-	}
-	buf := make([]byte, 0, len(line)+2)
-	if l.tornTail {
-		buf = append(buf, '\n')
-	}
-	buf = append(append(buf, line...), '\n')
-	if _, err := failpoint.Write(fpLedgerAppend, l.f, buf); err != nil {
-		l.tornTail = true
-		return fmt.Errorf("sweep: ledger: append: %w", err)
-	}
-	l.tornTail = false
-	return nil
-}
-
 // pollEvery returns how long a worker waits between re-checks of another
 // worker's live claim.
 func (l *Ledger) pollEvery() time.Duration { return l.poll }
@@ -397,8 +322,7 @@ func (l *Ledger) Len() int {
 }
 
 // Loaded returns how many completion records this ledger has absorbed
-// (its own and other workers'); Skipped returns how many undecodable
-// complete lines were passed over.
+// (its own and other workers').
 func (l *Ledger) Loaded() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -409,7 +333,7 @@ func (l *Ledger) Loaded() int {
 func (l *Ledger) Skipped() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.skipped
+	return l.log.Skipped()
 }
 
 // Close closes the underlying file. Lookup keeps serving the in-memory
@@ -417,10 +341,5 @@ func (l *Ledger) Skipped() int {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
+	return l.log.Close()
 }

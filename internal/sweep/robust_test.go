@@ -167,11 +167,11 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// First lifetime: complete only the first half, then "die".
-	cp, err := OpenCheckpoint(path)
+	cp, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Workers(2), WithCheckpoint(cp)).Run(context.Background(), pts[:2]); err != nil {
+	if _, err := New(Workers(2), WithLedger(cp)).Run(context.Background(), pts[:2]); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Close(); err != nil {
@@ -179,7 +179,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Second lifetime: reopen and run the full campaign.
-	cp2, err := OpenCheckpoint(path)
+	cp2, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestCheckpointResume(t *testing.T) {
 	if cp2.Loaded() != 2 {
 		t.Fatalf("loaded %d records, want 2", cp2.Loaded())
 	}
-	e := New(Workers(2), WithCheckpoint(cp2))
+	e := New(Workers(2), WithLedger(cp2))
 	got, err := e.Run(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.CheckpointHits != 2 || st.Ran != 2 {
+	if st := e.Stats(); st.LedgerHits != 2 || st.Ran != 2 {
 		t.Fatalf("stats = %+v, want 2 checkpoint hits + 2 ran", st)
 	}
 	if !reflect.DeepEqual(want, got) {
@@ -201,17 +201,17 @@ func TestCheckpointResume(t *testing.T) {
 }
 
 // TestCheckpointTornTail pins kill-tolerance: a checkpoint whose final line
-// was torn by a mid-write kill loads every complete record and truncates
-// the garbage, and stays appendable.
+// was torn by a mid-write kill loads every complete record, skips the
+// garbage, and stays appendable.
 func TestCheckpointTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	pts := testPoints()
 
-	cp, err := OpenCheckpoint(path)
+	cp, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Workers(1), WithCheckpoint(cp)).Run(context.Background(), pts[:2]); err != nil {
+	if _, err := New(Workers(1), WithLedger(cp)).Run(context.Background(), pts[:2]); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -226,7 +226,7 @@ func TestCheckpointTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	cp2, err := OpenCheckpoint(path)
+	cp2, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestCheckpointTornTail(t *testing.T) {
 		t.Fatalf("loaded %d records after torn tail, want 2", cp2.Loaded())
 	}
 	// Still appendable: complete the campaign and reload it all.
-	if _, err := New(Workers(1), WithCheckpoint(cp2)).Run(context.Background(), pts); err != nil {
+	if _, err := New(Workers(1), WithLedger(cp2)).Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
 	cp2.Close()
-	cp3, err := OpenCheckpoint(path)
+	cp3, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestCheckpointTornTail(t *testing.T) {
 	if cp3.Loaded() != len(pts) {
 		t.Fatalf("loaded %d records after resume, want %d", cp3.Loaded(), len(pts))
 	}
-	e := New(Workers(1), WithCheckpoint(cp3))
+	e := New(Workers(1), WithLedger(cp3))
 	if _, err := e.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Ran != 0 || st.CheckpointHits != len(pts) {
+	if st := e.Stats(); st.Ran != 0 || st.LedgerHits != len(pts) {
 		t.Fatalf("full checkpoint did not satisfy the campaign: %+v", st)
 	}
 }
@@ -265,15 +265,15 @@ func TestCheckpointRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := OpenCheckpoint(path)
+	cp, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Workers(2), WithCheckpoint(cp)).Run(context.Background(), pts); err != nil {
+	if _, err := New(Workers(2), WithLedger(cp)).Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
-	cp2, err := OpenCheckpoint(path)
+	cp2, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,19 @@
 // any worker count.
 //
 // Work is scoped in two layers. The Engine owns the shared resources — its
-// machine arenas, the fingerprint-keyed memo cache and the optional
-// checkpoint or ledger — and survives across campaigns. It holds one arena
-// per worker as a slot: a run takes a slot immediately before it simulates
-// and hands it back when the run ends, so every job, RunAll call and
-// artefact on the engine shares one bound of Workers simulations, and
-// consecutive memo-missed runs recycle a slot's machine in place
-// (Machine.Reset) instead of reallocating tens of megabytes of simulator
-// state per point. A Job (NewJob) is one campaign's view of the engine: it
-// carries its own progress callback and its own Stats, so two jobs running
-// concurrently on one engine share the cache without interleaving each
-// other's counters. RunAll is the primitive (every point's individual
-// outcome, in submission order); Run and RunMap are thin wrappers over it.
+// machine arenas, the fingerprint-keyed memo cache and the optional ledger
+// (the checkpoint, or the multi-process work-stealing file) — and survives
+// across campaigns. It holds one arena per worker as a slot: a run takes a
+// slot immediately before it simulates and hands it back when the run
+// ends, so every job, RunAll call and artefact on the engine shares one
+// bound of Workers simulations, and consecutive memo-missed runs recycle
+// a slot's machine in place (Machine.Reset) instead of reallocating tens
+// of megabytes of simulator state per point. A Job (NewJob) is one
+// campaign's view of the engine: it carries its own progress callback and
+// its own Stats, so two jobs running concurrently on one engine share the
+// cache without interleaving each other's counters. RunAll is the
+// primitive (every point's individual outcome, in submission order); Run
+// and RunMap are thin wrappers over it.
 //
 // One mutex, Engine.mu, guards the memo cache and every counter. A run
 // lasts milliseconds and takes it a handful of times, so it is not a
@@ -60,14 +61,12 @@ type Stats struct {
 	// Points counts every submitted point; Ran counts the simulations that
 	// actually executed; CacheHits counts points satisfied by a memoized
 	// (or in-flight duplicate) run. For all-success campaigns,
-	// Points == Ran + CacheHits + CheckpointHits + LedgerHits.
+	// Points == Ran + CacheHits + LedgerHits.
 	Points, Ran, CacheHits int
-	// CheckpointHits counts points satisfied from the attached checkpoint
-	// file (completed in an earlier process lifetime).
-	CheckpointHits int
-	// LedgerHits counts points satisfied from the attached work-stealing
-	// ledger (completed by another worker process); Steals counts expired
-	// foreign claims this engine took over.
+	// LedgerHits counts points satisfied from the attached ledger
+	// (completed by another worker process, or in an earlier lifetime of
+	// this one); Steals counts expired foreign claims this engine took
+	// over.
 	LedgerHits, Steals int
 	// Failed counts points that genuinely failed (cancellations are not
 	// failures); Retried counts extra attempts spent on transient failures.
@@ -176,19 +175,12 @@ func ContinueOnError() Option {
 	return func(e *Engine) { e.keepGoing = true }
 }
 
-// WithCheckpoint attaches a checkpoint: points whose fingerprint it already
-// holds are served from it, and every newly completed simulation is
-// appended to it. The caller owns the checkpoint's lifetime (Close it after
-// the campaign).
-func WithCheckpoint(cp *Checkpoint) Option {
-	return func(e *Engine) { e.cp = cp }
-}
-
-// WithLedger attaches a multi-writer work-stealing ledger: completed
-// points are served from it, unclaimed points are claimed before they run
-// (and completed into it afterwards), and points claimed by another live
-// worker process are waited for — or stolen once the claim's deadline
-// expires. The caller owns the ledger's lifetime. See Ledger.
+// WithLedger attaches a ledger: completed points are served from it,
+// unclaimed points are claimed before they run (and completed into it
+// afterwards), and points claimed by another live worker process are
+// waited for — or stolen once the claim's deadline expires. A ledger only
+// this process writes is a checkpoint: reopened, it resumes the campaign.
+// The caller owns the ledger's lifetime. See Ledger.
 func WithLedger(l *Ledger) Option {
 	return func(e *Engine) { e.led = l }
 }
@@ -255,7 +247,6 @@ type Engine struct {
 	retries    int
 	backoff    time.Duration
 	keepGoing  bool
-	cp         *Checkpoint
 	led        *Ledger
 
 	// slots holds the engine's arenas, one per worker. A run receives one
@@ -357,7 +348,7 @@ func (e *Engine) CacheLen() int {
 }
 
 // Job is one campaign's scoped view of an engine: it shares the engine's
-// arena slots, memo cache and checkpoint, but owns its progress callback,
+// arena slots, memo cache and ledger, but owns its progress callback,
 // its Stats and its run budget, so concurrent jobs on one engine do not
 // interleave counters or callbacks. The zero value is not usable; call
 // Engine.NewJob. A Job is safe for concurrent use (a job running several
@@ -523,17 +514,16 @@ func (e *Engine) RunMap(ctx context.Context, points []Point) (map[string]sim.Res
 func (j *Job) plan(points []Point, waiters []*entry) (toRun []runItem, hits int, err error) {
 	e := j.e
 	// The fingerprint is only needed when something is keyed by it; a
-	// memoization-disabled engine with no checkpoint and no ledger skips
-	// the hash entirely (it is pure per-point overhead there).
-	needFP := !e.noCache || e.cp != nil || e.led != nil
-	var cacheHits, cpHits, ledHits int
+	// memoization-disabled engine with no ledger skips the hash entirely
+	// (it is pure per-point overhead there).
+	needFP := !e.noCache || e.led != nil
+	var cacheHits, ledHits int
 	defer func() {
-		if cacheHits == 0 && cpHits == 0 && ledHits == 0 {
+		if cacheHits == 0 && ledHits == 0 {
 			return
 		}
 		j.tally(func(s *Stats) {
 			s.CacheHits += cacheHits
-			s.CheckpointHits += cpHits
 			s.LedgerHits += ledHits
 		})
 	}()
@@ -544,15 +534,8 @@ func (j *Job) plan(points []Point, waiters []*entry) (toRun []runItem, hits int,
 				return nil, hits, fmt.Errorf("sweep: point %q: %w", p.Key, err)
 			}
 		}
-		// warm resolves a point that something fingerprint-keyed already
-		// completed (checkpoint file or ledger).
+		// warm resolves a point the ledger already holds completed.
 		warm := func() (*entry, bool) {
-			if e.cp != nil {
-				if res, ok := e.cp.Lookup(fp); ok {
-					cpHits++
-					return resolvedEntry(res), true
-				}
-			}
 			if e.led != nil {
 				if res, ok := e.led.Lookup(fp); ok {
 					ledHits++
@@ -730,17 +713,6 @@ func (j *Job) execute(ctx context.Context, points []Point) ([]*entry, error) {
 				cancelRun()
 			}
 			return
-		}
-		if e.cp != nil && executed {
-			if cerr := e.cp.add(it.fp, it.p.Key, res); cerr != nil {
-				// A result that cannot be checkpointed breaks the resume
-				// guarantee; fail the point rather than silently degrade.
-				j.fail(it, fmt.Errorf("sweep: checkpoint write: %w", cerr), true)
-				if !e.keepGoing {
-					cancelRun()
-				}
-				return
-			}
 		}
 		it.en.res = res
 		close(it.en.done)
