@@ -59,11 +59,15 @@ campaign-smoke:
 # failpoint matrix, under the race detector.
 # Fault schedules exercise different interleavings per -count iteration
 # only through scheduling, so the loop shakes out timing-dependent bugs
-# the single-shot suite would miss.
+# the single-shot suite would miss. The experiments package runs on its
+# own line, after sim and sweep: sharing 2 CPUs with them, its twenty
+# iterations passed go test's default 10-minute timeout. Alone they take
+# about six minutes (362 s), and the limit leaves three times that.
+STRESS_RUN = 'Fault|Watchdog|Robust|Checkpoint|RunError|FailFast|ContinueOnError|Timeout|Resume|CacheBound|Bound|Ledger'
 stress:
 	$(GO) test -race -count=20 ./internal/faults/ ./internal/recordlog/
-	$(GO) test -race -count=20 -run 'Fault|Watchdog|Robust|Checkpoint|RunError|FailFast|ContinueOnError|Timeout|Resume|CacheBound|Bound|Ledger' \
-		./internal/sim/ ./internal/sweep/ ./internal/experiments/
+	$(GO) test -race -count=20 -run $(STRESS_RUN) ./internal/sim/ ./internal/sweep/
+	$(GO) test -race -count=20 -timeout 20m -run $(STRESS_RUN) ./internal/experiments/
 
 # Short native-fuzz smoke of the hardened parsers (the CI budget; run with
 # a larger -fuzztime locally when touching these surfaces).

@@ -7,6 +7,14 @@
 // dirtiness of blocks, not data. Latencies are owned by the pipeline and
 // memory system (the clock domain of a cache depends on the VSV power mode),
 // so this package answers only "hit or miss, and what got evicted".
+//
+// A way is 16 bytes: the block's tag and a meta word
+// lastUse<<2 | dirty<<1 | prefetch. lastUse is a per-cache use clock that
+// advances before every stamp, so an installed way has lastUse >= 1 and
+// meta is zero exactly when the way is empty; valid ways carry distinct
+// stamps, so LRU order within a set is meta order. lastUse keeps 62 bits,
+// and no run reaches 2^62 uses. All ways of a cache sit in one flat array,
+// set i at [i*Assoc, (i+1)*Assoc).
 package cache
 
 import "fmt"
@@ -79,24 +87,29 @@ type Stats struct {
 	Writebacks     uint64
 }
 
+// line is one way: the block's tag and meta = lastUse<<2 | dirty<<1 |
+// prefetch (see the package doc). meta == 0 means the way is empty.
 type line struct {
-	valid    bool
-	dirty    bool
-	tag      uint64
-	lastUse  uint64 // global use counter for true LRU
-	prefetch bool   // filled by a prefetch and not yet demand-referenced
+	tag, meta uint64
 }
+
+const (
+	metaPrefetch uint64 = 1 // filled by a prefetch, not yet demand-referenced
+	metaDirty    uint64 = 2 // written back on eviction
+	useShift            = 2 // lastUse sits above the two flag bits
+)
 
 // Cache is one level of the hierarchy. Not safe for concurrent use; the
 // simulator is single-threaded per machine.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set i is lines[i<<wayShift:][:Assoc]
 	numSets  int
 	idxMask  uint64
 	blkShift uint
 	setShift uint // log2(numSets), precomputed: tag() runs on every access
 	tagShift uint // blkShift + setShift
+	wayShift uint // log2(Assoc)
 	useClock uint64
 	stats    Stats
 }
@@ -110,42 +123,28 @@ func New(cfg Config) *Cache {
 }
 
 // Reset reinitializes the cache in place to the empty state of New(cfg),
-// reusing the line backing array when the geometry (sets x ways) is
-// unchanged. Fresh construction and arena reuse share this one code path,
-// so a Reset cache is bit-identical to a new one by construction.
+// reusing the line array when the way count is unchanged. Fresh
+// construction and arena reuse share this one code path, so a Reset cache
+// is bit-identical to a new one by construction.
 func (c *Cache) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.SizeBytes / cfg.BlockBytes / cfg.Assoc
-	sameGeometry := c.sets != nil && c.numSets == numSets && c.cfg.Assoc == cfg.Assoc
+	ways := cfg.SizeBytes / cfg.BlockBytes
+	numSets := ways / cfg.Assoc
 	c.cfg = cfg
 	c.numSets = numSets
 	c.idxMask = uint64(numSets - 1)
 	c.blkShift = log2(uint64(cfg.BlockBytes))
 	c.setShift = log2(uint64(numSets))
 	c.tagShift = c.blkShift + c.setShift
+	c.wayShift = log2(uint64(cfg.Assoc))
 	c.useClock = 0
 	c.stats = Stats{}
-	if sameGeometry {
-		for _, set := range c.sets {
-			for i := range set {
-				set[i] = line{}
-			}
-		}
-		return
-	}
-	c.grow(numSets, cfg.Assoc)
-}
-
-// grow reallocates the set/line arrays for a new geometry.
-//
-//vsv:coldpath
-func (c *Cache) grow(numSets, assoc int) {
-	c.sets = make([][]line, numSets)
-	backing := make([]line, numSets*assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
+	if len(c.lines) == ways {
+		clear(c.lines)
+	} else {
+		c.lines = make([]line, ways)
 	}
 }
 
@@ -182,6 +181,12 @@ func (c *Cache) tag(addr uint64) uint64 {
 	return addr >> c.tagShift
 }
 
+// set returns the ways of set idx.
+func (c *Cache) set(idx uint64) []line {
+	i := int(idx) << c.wayShift
+	return c.lines[i : i+c.cfg.Assoc]
+}
+
 // Access looks up addr, updating recency, dirtiness and statistics.
 // It returns true on a hit. On a miss the caller is responsible for
 // arranging the fill (via the MSHR and lower hierarchy) and then calling
@@ -191,20 +196,21 @@ func (c *Cache) Access(addr uint64, kind AccessKind) bool {
 	if kind != Prefetch {
 		c.stats.DemandAccesses++
 	}
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	t := c.tag(addr)
 	for i := range set {
 		ln := &set[i]
-		if ln.valid && ln.tag == t {
+		if ln.tag == t && ln.meta != 0 {
 			c.stats.Hits++
 			c.useClock++
-			ln.lastUse = c.useClock
+			flags := ln.meta & (metaDirty | metaPrefetch)
 			if kind == Write {
-				ln.dirty = true
+				flags |= metaDirty
 			}
 			if kind != Prefetch {
-				ln.prefetch = false
+				flags &^= metaPrefetch
 			}
+			ln.meta = c.useClock<<useShift | flags
 			return true
 		}
 	}
@@ -221,10 +227,10 @@ func (c *Cache) Access(addr uint64, kind AccessKind) bool {
 // Probe reports whether addr is present without updating recency or
 // statistics. Used by prefetchers to filter redundant requests.
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	t := c.tag(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == t {
+		if set[i].tag == t && set[i].meta != 0 {
 			return true
 		}
 	}
@@ -250,60 +256,144 @@ type Eviction struct {
 func (c *Cache) Fill(addr uint64, asWrite, asPrefetch bool) Eviction {
 	c.stats.Fills++
 	idx := c.SetIndex(addr)
-	set := c.sets[idx]
+	set := c.set(idx)
 	t := c.tag(addr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == t {
-			// Already present (e.g., a racing prefetch filled it first).
-			c.useClock++
-			ln.lastUse = c.useClock
-			if asWrite {
-				ln.dirty = true
-			}
-			return Eviction{}
-		}
-	}
-	// Victim selection: first empty way, otherwise true LRU.
+	// Victim selection: the smallest meta is the first empty way, otherwise
+	// the least recently used one.
 	victim := 0
 	for i := range set {
 		ln := &set[i]
-		if !ln.valid {
-			victim = i
-			break
+		if ln.tag == t && ln.meta != 0 {
+			// Already present (e.g., a racing prefetch filled it first).
+			c.useClock++
+			flags := ln.meta & (metaDirty | metaPrefetch)
+			if asWrite {
+				flags |= metaDirty
+			}
+			ln.meta = c.useClock<<useShift | flags
+			return Eviction{}
 		}
-		if ln.lastUse < set[victim].lastUse {
+		if ln.meta < set[victim].meta {
 			victim = i
 		}
 	}
 	ev := Eviction{}
 	v := &set[victim]
-	if v.valid {
+	if v.meta != 0 {
 		ev = Eviction{
 			Valid:       true,
 			Addr:        c.reconstruct(v.tag, idx),
-			Dirty:       v.dirty,
-			WasPrefetch: v.prefetch,
+			Dirty:       v.meta&metaDirty != 0,
+			WasPrefetch: v.meta&metaPrefetch != 0,
 		}
 		c.stats.Evictions++
-		if v.dirty {
+		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	c.useClock++
-	*v = line{valid: true, dirty: asWrite, tag: t, lastUse: c.useClock, prefetch: asPrefetch}
+	meta := c.useClock << useShift
+	if asWrite {
+		meta |= metaDirty
+	}
+	if asPrefetch {
+		meta |= metaPrefetch
+	}
+	*v = line{tag: t, meta: meta}
 	return ev
+}
+
+// Span is a byte range handed to Preload.
+type Span struct {
+	Base, Bytes uint64
+}
+
+// blocks returns how many blocks Preload installs for sp: one per
+// BlockBytes step from Base while below Base+Bytes.
+func (c *Cache) blocks(sp Span) uint64 {
+	n := sp.Bytes >> c.blkShift
+	if sp.Bytes&(uint64(c.cfg.BlockBytes)-1) != 0 {
+		n++
+	}
+	return n
+}
+
+// Preload installs, clean and in order, the blocks holding Base,
+// Base+BlockBytes, … below Base+Bytes of each span, leaving the cache
+// exactly as successive Fill(a, false, false) calls would.
+//
+// On an empty cache, when no span runs past 2^64-1 and no block lies in
+// two spans, it writes each set's ways directly in one pass over the sets:
+// with every fill a new block and stamps increasing, true LRU is round
+// robin, so the j-th block to land in a set takes way j mod Assoc and
+// stamps it with its position in the fill sequence plus one. Any other
+// input falls back to Fill per block.
+func (c *Cache) Preload(spans []Span) {
+	if c.useClock != 0 || !c.placeable(spans) {
+		for _, sp := range spans {
+			for i, n := uint64(0), c.blocks(sp); i < n; i++ {
+				c.Fill(sp.Base+i<<c.blkShift, false, false)
+			}
+		}
+		return
+	}
+	var total uint64
+	for _, sp := range spans {
+		total += c.blocks(sp)
+	}
+	numSets, assoc := uint64(c.numSets), uint64(c.cfg.Assoc)
+	for s := uint64(0); s < numSets; s++ {
+		set := c.set(s)
+		var j, pos uint64 // blocks landed in set s; fill position of sp's first block
+		for _, sp := range spans {
+			first, n := sp.Base>>c.blkShift, c.blocks(sp)
+			for k := (s - first) & c.idxMask; k < n; k += numSets {
+				set[j&(assoc-1)] = line{tag: (first + k) >> c.setShift, meta: (pos + k + 1) << useShift}
+				j++
+			}
+			pos += n
+		}
+		if j > assoc {
+			c.stats.Evictions += j - assoc
+		}
+	}
+	c.stats.Fills += total
+	c.useClock = total
+}
+
+// placeable reports whether every span's blocks stay below 2^64 and no
+// block lies in two spans, the preconditions of Preload's direct path.
+func (c *Cache) placeable(spans []Span) bool {
+	maxBlock := ^uint64(0) >> c.blkShift
+	for i, a := range spans {
+		na := c.blocks(a)
+		if na == 0 {
+			continue
+		}
+		fa := a.Base >> c.blkShift
+		if fa > maxBlock-(na-1) {
+			return false
+		}
+		for _, b := range spans[:i] {
+			nb := c.blocks(b)
+			fb := b.Base >> c.blkShift
+			if nb != 0 && fa <= fb+nb-1 && fb <= fa+na-1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Invalidate removes the block containing addr if present, returning whether
 // it was present and dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	t := c.tag(addr)
 	for i := range set {
 		ln := &set[i]
-		if ln.valid && ln.tag == t {
-			present, dirty = true, ln.dirty
+		if ln.tag == t && ln.meta != 0 {
+			present, dirty = true, ln.meta&metaDirty != 0
 			*ln = line{}
 			return
 		}
@@ -321,11 +411,9 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Occupancy returns the number of valid lines (for tests and debugging).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for _, ln := range c.lines {
+		if ln.meta != 0 {
+			n++
 		}
 	}
 	return n

@@ -494,6 +494,42 @@ func TestRawPoints(t *testing.T) {
 	}
 }
 
+// TestRawPointPrewarmPastAddressSpace pins that a raw point whose prewarm
+// range walks past 2^64-1 ends as a failed point naming the range, instead
+// of spinning its arena slot in the prewarm walk; the engine's one slot
+// then runs the next point.
+func TestRawPointPrewarmPastAddressSpace(t *testing.T) {
+	_, ts := start(t, campaign.Config{Engine: sweep.New(sweep.Workers(1), sweep.ContinueOnError())})
+	bad := tinyCfg()
+	bad.Prewarm = append(bad.Prewarm, sim.PrewarmRange{Base: ^uint64(0) - 47, Bytes: 40})
+	req := apiv1.JobRequest{ContinueOnError: true, Points: []apiv1.Point{
+		{Key: "wraps", Benchmark: "mcf", Config: bad},
+		{Key: "good", Benchmark: "mcf", Config: tinyCfg()},
+	}}
+	created := postJob(t, ts, req)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		followEvents(t, ts, created.ID)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("raw point with a wrapping prewarm range still running after 60 s")
+	}
+	var ar apiv1.ArtefactsResponse
+	getJSON(t, ts.URL+created.Location+"/artefacts", &ar)
+	if len(ar.Points) != 2 {
+		t.Fatalf("got %d point results, want 2", len(ar.Points))
+	}
+	if e := ar.Points[0].Error; e == nil || !strings.Contains(e.Message, "prewarm range 2") {
+		t.Fatalf("wrapping point: error %+v, want one naming prewarm range 2", e)
+	}
+	if p := ar.Points[1]; p.Error != nil || p.Res == nil {
+		t.Fatalf("good point beside it has no result: %+v", p)
+	}
+}
+
 // TestBadRequests pins the typed error surface of the front door.
 func TestBadRequests(t *testing.T) {
 	_, ts := start(t, campaign.Config{Engine: sweep.New(sweep.Workers(1))})

@@ -30,8 +30,8 @@
 //	           syscall.ENOSPC returns — a torn line on a full disk
 //	short      half the payload is written, then *Error wrapping
 //	           io.ErrShortWrite returns — a torn line, space available
-//	skip       the guarded operation is silently skipped (Skip sites:
-//	           close-without-flush, lost fsync)
+//	skip       the guarded operation is silently skipped and reports
+//	           success — a lost write or fsync
 //	crash      half the payload is written (Write sites), then the
 //	           process exits with CrashExitCode — kill -9 mid-write
 //
@@ -280,62 +280,6 @@ func Sync(name string, f syncer) error {
 		os.Exit(CrashExitCode)
 	}
 	return f.Sync()
-}
-
-// Do performs op through the named site: err/enospc return the typed
-// error without running op, skip silently skips op (reporting success),
-// crash kills the process before it. This guards flush/close-style
-// operations that are not a single Write.
-func Do(name string, op func() error) error {
-	if table.Load() == nil {
-		return op()
-	}
-	action, _ := fire(name, "")
-	switch action {
-	case "":
-		return op()
-	case ActionErr, ActionENOSPC:
-		e := &Error{Site: name, Action: action}
-		if action == ActionENOSPC {
-			e.Cause = syscall.ENOSPC
-		}
-		return e
-	case ActionSkip:
-		return nil
-	case ActionCrash:
-		os.Exit(CrashExitCode)
-	}
-	return op()
-}
-
-// Skip reports whether the named site is armed to skip its guarded
-// operation (close-without-flush sites). Unarmed, it is one atomic load
-// and false.
-func Skip(name string) bool {
-	if table.Load() == nil {
-		return false
-	}
-	action, _ := fire(name, "")
-	return action == ActionSkip
-}
-
-// Check returns the typed error when the named site fires with err/enospc
-// (for guarding non-write operations), kills the process on crash, and
-// returns nil otherwise.
-func Check(name string) error {
-	if table.Load() == nil {
-		return nil
-	}
-	action, _ := fire(name, "")
-	switch action {
-	case ActionErr:
-		return &Error{Site: name, Action: action}
-	case ActionENOSPC:
-		return &Error{Site: name, Action: action, Cause: syscall.ENOSPC}
-	case ActionCrash:
-		os.Exit(CrashExitCode)
-	}
-	return nil
 }
 
 // CrashIf kills the process when the named site is armed with crash and

@@ -24,12 +24,6 @@ func TestUnarmedPassThrough(t *testing.T) {
 	if Armed() {
 		t.Fatal("Armed() = true after Disarm")
 	}
-	if Skip("x.close") {
-		t.Fatal("unarmed Skip fired")
-	}
-	if err := Check("x.op"); err != nil {
-		t.Fatalf("unarmed Check = %v", err)
-	}
 	CrashIf("x.crash", "any") // must not exit
 	if Fired("x.append") != 0 {
 		t.Fatal("unarmed Fired nonzero")
@@ -131,14 +125,8 @@ func TestCallCountAndSticky(t *testing.T) {
 
 func TestSkipAction(t *testing.T) {
 	defer Disarm()
-	if err := Arm("j.sync=skip, j.close=skip"); err != nil {
+	if err := Arm("j.sync=skip"); err != nil {
 		t.Fatal(err)
-	}
-	if !Skip("j.close") {
-		t.Fatal("Skip did not fire")
-	}
-	if Skip("j.close") {
-		t.Fatal("Skip fired twice without sticky")
 	}
 	// Sync with skip: reports success, never touches the file.
 	if err := Sync("j.sync", failingSyncer{}); err != nil {
@@ -182,35 +170,6 @@ func TestKeyedSite(t *testing.T) {
 	}
 	if action, _ := fire("s.claimed", "bad-point"); action != ActionErr {
 		t.Fatalf("matching key fired %q, want err", action)
-	}
-}
-
-func TestDoAction(t *testing.T) {
-	defer Disarm()
-	ran := 0
-	op := func() error { ran++; return nil }
-	if err := Arm("cp.flush=err"); err != nil {
-		t.Fatal(err)
-	}
-	var fe *Error
-	if err := Do("cp.flush", op); !errors.As(err, &fe) {
-		t.Fatalf("Do err action = %v, want typed *Error", err)
-	}
-	if err := Arm("cp.flush=skip"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Do("cp.flush", op); err != nil {
-		t.Fatalf("Do skip action = %v", err)
-	}
-	if ran != 0 {
-		t.Fatalf("op ran %d times under err/skip, want 0", ran)
-	}
-	if err := Do("cp.flush", op); err != nil || ran != 1 {
-		t.Fatalf("Do after one-shot fire = (%v, ran %d), want (nil, 1)", err, ran)
-	}
-	Disarm()
-	if err := Do("cp.flush", op); err != nil || ran != 2 {
-		t.Fatalf("unarmed Do = (%v, ran %d), want (nil, 2)", err, ran)
 	}
 }
 

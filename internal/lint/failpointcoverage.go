@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // failpointcoverage keeps the crash-injection surface complete
@@ -12,7 +11,7 @@ import (
 // failpoint helpers or the record log, plus apiv1), every mutating
 // operation on a durable file — Write/WriteString/WriteAt/Sync/Truncate
 // on *os.File, and Write/Flush and friends on *bufio.Writer — must route
-// through a failpoint-instrumented helper (failpoint.Write/Sync/Do), never
+// through a failpoint-instrumented helper (failpoint.Write/Sync), never
 // be called directly. A direct call is invisible to the kill -9 replay and
 // torn-write tests, so a new writer added this way would ship with its
 // crash behaviour untested. Reads (ReadAt) and lifecycle Close calls are
@@ -23,7 +22,7 @@ type failpointcoverage struct{}
 func (failpointcoverage) Name() string { return "failpointcoverage" }
 
 func (failpointcoverage) Doc() string {
-	return "durable-file writes/syncs in failpoint-instrumented packages must route through failpoint.Write/Sync/Do, never call the file directly"
+	return "durable-file writes/syncs in failpoint-instrumented packages must route through failpoint.Write/Sync, never call the file directly"
 }
 
 // fpFileMethods / fpBufioMethods are the mutating ops that must be
@@ -54,11 +53,6 @@ func (f failpointcoverage) Run(prog *Program) []Diagnostic {
 				if fn == nil {
 					return true
 				}
-				// The closure handed to failpoint.Do is the sanctioned
-				// wrapper: the direct op inside it IS the instrumented op.
-				if fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/failpoint") {
-					return false
-				}
 				sig, _ := fn.Type().(*types.Signature)
 				if sig == nil {
 					return true
@@ -74,7 +68,7 @@ func (f failpointcoverage) Run(prog *Program) []Diagnostic {
 					return true
 				}
 				diags = append(diags, Diagnostic{"failpointcoverage", prog.Position(call.Pos()),
-					fmt.Sprintf("direct %s escapes failpoint crash-injection; route the op through failpoint.Write/Sync/Do so kill and torn-write tests cover it", funcDisplay(fn))})
+					fmt.Sprintf("direct %s escapes failpoint crash-injection; route the op through failpoint.Write/Sync so kill and torn-write tests cover it", funcDisplay(fn))})
 				return true
 			})
 		}

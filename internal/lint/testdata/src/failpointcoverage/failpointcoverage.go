@@ -16,12 +16,7 @@ func routed(f *os.File, p []byte) error {
 	if _, err := failpoint.Write("fixture.append", f, p); err != nil {
 		return err
 	}
-	if err := failpoint.Sync("fixture.sync", f); err != nil {
-		return err
-	}
-	return failpoint.Do("fixture.truncate", func() error {
-		return f.Truncate(0)
-	})
+	return failpoint.Sync("fixture.sync", f)
 }
 
 // direct bypasses the injection table: every op here is invisible to the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/workload"
@@ -45,5 +46,26 @@ func TestLoadHitZeroAllocWithTK(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("L1-hit Load with TK allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestNewBenchAllocBytes bounds what building a prewarmed benchmark
+// machine allocates. The cache arrays dominate: at 16 bytes a way, the
+// three Table 1 caches take 1.06 MB, and the whole machine stays under
+// 2 MB.
+func TestNewBenchAllocBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := NewBench("mcf")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	const limit = 2 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("NewBench allocated %d bytes, want < %d", got, limit)
+	} else {
+		t.Logf("NewBench allocated %d bytes", got)
 	}
 }

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/branch"
 	"repro/internal/bus"
@@ -26,6 +27,16 @@ type PrewarmRange struct {
 	// IntoL1 additionally installs the range into the data L1 (for
 	// L1-resident sets); every range is installed into the L2.
 	IntoL1 bool
+}
+
+// fits reports whether the range's block walk — Base, Base+bb, … until a
+// step reaches Base+Bytes — ends at or below 2^64-1.
+func (pr PrewarmRange) fits(bb uint64) bool {
+	blocks := pr.Bytes / bb
+	if pr.Bytes%bb != 0 {
+		blocks++
+	}
+	return blocks <= math.MaxUint64/bb && blocks*bb <= math.MaxUint64-pr.Base
 }
 
 // VSVConfig enables the VSV controller on the machine.
@@ -169,6 +180,12 @@ func (c Config) Validate() error {
 	}
 	if c.IL1.BlockBytes != c.L2.BlockBytes || c.DL1.BlockBytes != c.L2.BlockBytes {
 		return fmt.Errorf("sim: L1/L2 block sizes must match")
+	}
+	for i, pr := range c.Prewarm {
+		if !pr.fits(uint64(c.L2.BlockBytes)) {
+			return fmt.Errorf("sim: prewarm range %d (base %#x, %d bytes) runs past the top of the address space",
+				i, pr.Base, pr.Bytes)
+		}
 	}
 	if c.MeasureInstructions == 0 {
 		return fmt.Errorf("sim: zero measurement window")

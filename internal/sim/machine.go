@@ -74,6 +74,10 @@ type Machine struct {
 	missDetected bool
 	missReturned bool
 
+	// spans is Reset's scratch list of the prewarm ranges handed to
+	// Cache.Preload.
+	spans []cache.Span
+
 	// tkFillPending is the set of blocks whose in-flight L2 miss should
 	// fill the prefetch buffer on arrival. It is bounded by the L2 MSHR
 	// capacity, so a linear-scanned slice beats a map on the tick path.
@@ -189,15 +193,18 @@ func (m *Machine) Reset(cfg Config, src pipeline.InstSource) error {
 	} else {
 		m.pipe.Reset(cfg.Pipeline, src, m.pred, m)
 	}
+	m.spans = m.spans[:0]
 	for _, pr := range cfg.Prewarm {
-		bb := uint64(cfg.L2.BlockBytes)
-		for a := pr.Base; a < pr.Base+pr.Bytes; a += bb {
-			m.l2.Fill(a, false, false)
-			if pr.IntoL1 {
-				m.dl1.Fill(a, false, false)
-			}
+		m.spans = append(m.spans, cache.Span{Base: pr.Base, Bytes: pr.Bytes})
+	}
+	m.l2.Preload(m.spans)
+	m.spans = m.spans[:0]
+	for _, pr := range cfg.Prewarm {
+		if pr.IntoL1 {
+			m.spans = append(m.spans, cache.Span{Base: pr.Base, Bytes: pr.Bytes})
 		}
 	}
+	m.dl1.Preload(m.spans)
 	m.ctl, m.tk, m.tkBuf = nil, nil, nil
 	if cfg.VSV != nil {
 		if m.ctlKept == nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -56,6 +57,36 @@ func TestConfigValidateRejects(t *testing.T) {
 	bad := cfg.WithVSV(core.Policy{Up: core.UpMode(9)})
 	if bad.Validate() == nil {
 		t.Error("invalid VSV policy accepted")
+	}
+}
+
+// TestConfigValidatePrewarm checks that a prewarm range whose end, or
+// whose block walk, passes 2^64-1 is rejected by name instead of wrapping
+// the walk.
+func TestConfigValidatePrewarm(t *testing.T) {
+	const top = ^uint64(0)
+	for _, tc := range []struct {
+		name string
+		pr   PrewarmRange
+		ok   bool
+	}{
+		{"bench-warm", PrewarmRange{Base: workload.WarmBase, Bytes: workload.WarmBytes}, true},
+		{"empty", PrewarmRange{Base: top, Bytes: 0}, true},
+		{"below-top", PrewarmRange{Base: top - 95, Bytes: 64}, true},
+		{"walk-wraps", PrewarmRange{Base: top - 47, Bytes: 40}, false},
+		{"ends-at-2^64", PrewarmRange{Base: top - 63, Bytes: 64}, false},
+		{"end-overflows", PrewarmRange{Base: 1 << 63, Bytes: 1 << 63}, false},
+		{"huge", PrewarmRange{Base: 0, Bytes: top}, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Prewarm = []PrewarmRange{{Base: workload.HotBase, Bytes: workload.HotBytes}, tc.pr}
+		err := cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", tc.name, tc.pr, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "prewarm range 1") {
+			t.Errorf("%s: error %q does not name the range", tc.name, err)
+		}
 	}
 }
 
